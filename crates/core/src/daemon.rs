@@ -247,85 +247,30 @@ impl DaemonState {
     }
 }
 
-fn save_phase(w: &mut sim_core::snap::SnapWriter, p: &DaemonPhase) {
-    match p {
-        DaemonPhase::Idle => w.u8(0),
-        DaemonPhase::Reading => w.u8(1),
-        DaemonPhase::Reconfiguring { target, freeze } => {
-            w.u8(2);
-            w.usize(target.index());
-            w.bool(*freeze);
-        }
-    }
-}
+sim_core::snap_enum!(DaemonPhase {
+    0 => Idle,
+    1 => Reading,
+    2 => Reconfiguring { target, freeze },
+});
 
-fn load_phase(r: &mut sim_core::snap::SnapReader<'_>) -> DaemonPhase {
-    match r.u8() {
-        0 => DaemonPhase::Idle,
-        1 => DaemonPhase::Reading,
-        2 => DaemonPhase::Reconfiguring {
-            target: VcpuId(r.usize()),
-            freeze: r.bool(),
-        },
-        t => panic!("unknown daemon phase tag {t}"),
-    }
-}
-
-impl DaemonState {
-    /// Serializes the full daemon state machine — phase, hysteresis
-    /// streaks, the EMA, and every lifetime counter. The tuning config is
-    /// structural (restore targets a twin built from the same spec).
-    pub fn save(&self, w: &mut sim_core::snap::SnapWriter) {
-        let DaemonState {
-            config: _,
-            phase,
-            shrink_streak,
-            grow_streak,
-            ext_ema,
-            reads,
-            reconfigs,
-            crashes,
-            discarded_reads,
-            hotplug_aborts,
-            orphaned_reads,
-            needs_resync,
-            resyncs,
-            resync_repairs,
-        } = self;
-        w.section("daemon");
-        save_phase(w, phase);
-        w.u32(*shrink_streak);
-        w.u32(*grow_streak);
-        w.opt(ext_ema.as_ref(), |w, &e| w.f64(e));
-        w.u64(*reads);
-        w.u64(*reconfigs);
-        w.u64(*crashes);
-        w.u64(*discarded_reads);
-        w.u64(*hotplug_aborts);
-        w.u64(*orphaned_reads);
-        w.bool(*needs_resync);
-        w.u64(*resyncs);
-        w.u64(*resync_repairs);
-    }
-
-    /// Restores state saved by [`DaemonState::save`].
-    pub fn load(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        r.section("daemon");
-        self.phase = load_phase(r);
-        self.shrink_streak = r.u32();
-        self.grow_streak = r.u32();
-        self.ext_ema = r.opt(|r| r.f64());
-        self.reads = r.u64();
-        self.reconfigs = r.u64();
-        self.crashes = r.u64();
-        self.discarded_reads = r.u64();
-        self.hotplug_aborts = r.u64();
-        self.orphaned_reads = r.u64();
-        self.needs_resync = r.bool();
-        self.resyncs = r.u64();
-        self.resync_repairs = r.u64();
-    }
-}
+// The full daemon state machine — phase, hysteresis streaks, the EMA,
+// and every lifetime counter. The tuning config is structural (restore
+// targets a twin built from the same spec).
+sim_core::snap_struct!(DaemonState "daemon" {
+    phase,
+    shrink_streak,
+    grow_streak,
+    ext_ema,
+    reads,
+    reconfigs,
+    crashes,
+    discarded_reads,
+    hotplug_aborts,
+    orphaned_reads,
+    needs_resync,
+    resyncs,
+    resync_repairs,
+} skip { config });
 
 #[cfg(test)]
 mod tests {

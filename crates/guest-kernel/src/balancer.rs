@@ -276,71 +276,22 @@ impl FreezeRateGate {
         self.suppressed
     }
 }
-impl FreezeMask {
-    /// Serializes the per-vCPU bits and transition counters.
-    pub fn save(&self, w: &mut sim_core::snap::SnapWriter) {
-        let FreezeMask {
-            bits,
-            freezes,
-            unfreezes,
-        } = self;
-        w.seq(bits.iter(), |w, &b| w.bool(b));
-        w.u64(*freezes);
-        w.u64(*unfreezes);
-    }
+sim_core::snap_struct!(FreezeMask {
+    bits: twin "freeze-mask width differs from twin",
+    freezes,
+    unfreezes,
+});
 
-    /// Restores state saved by [`FreezeMask::save`] (same vCPU count).
-    pub fn load(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        let bits = r.seq(|r| r.bool());
-        assert_eq!(
-            bits.len(),
-            self.bits.len(),
-            "freeze-mask width differs from twin"
-        );
-        self.bits = bits;
-        self.freezes = r.u64();
-        self.unfreezes = r.u64();
-    }
-}
+sim_core::snap_struct!(FailSafe {
+    timeout_ticks,
+    silent_ticks,
+    trips,
+});
 
-impl FailSafe {
-    /// Serializes the heartbeat watchdog position.
-    pub fn save(&self, w: &mut sim_core::snap::SnapWriter) {
-        let FailSafe {
-            timeout_ticks,
-            silent_ticks,
-            trips,
-        } = self;
-        w.u32(*timeout_ticks);
-        w.u32(*silent_ticks);
-        w.u64(*trips);
-    }
-
-    /// Restores state saved by [`FailSafe::save`].
-    pub fn load(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        self.timeout_ticks = r.u32();
-        self.silent_ticks = r.u32();
-        self.trips = r.u64();
-    }
-}
-
-impl FreezeRateGate {
-    /// Serializes the dwell counter and suppression count.
-    pub fn save(&self, w: &mut sim_core::snap::SnapWriter) {
-        let FreezeRateGate {
-            since_reconfig,
-            suppressed,
-        } = self;
-        w.u32(*since_reconfig);
-        w.u64(*suppressed);
-    }
-
-    /// Restores state saved by [`FreezeRateGate::save`].
-    pub fn load(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        self.since_reconfig = r.u32();
-        self.suppressed = r.u64();
-    }
-}
+sim_core::snap_struct!(FreezeRateGate {
+    since_reconfig,
+    suppressed,
+});
 
 #[cfg(test)]
 mod tests {

@@ -223,29 +223,12 @@ impl HotplugRetry {
         self.giveups
     }
 }
-impl HotplugRetry {
-    /// Serializes the backoff ladder position.
-    pub fn save(&self, w: &mut sim_core::snap::SnapWriter) {
-        let HotplugRetry {
-            consecutive_aborts,
-            hold_until,
-            retries,
-            giveups,
-        } = self;
-        w.u32(*consecutive_aborts);
-        w.time(*hold_until);
-        w.u64(*retries);
-        w.u64(*giveups);
-    }
-
-    /// Restores state saved by [`HotplugRetry::save`].
-    pub fn load(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        self.consecutive_aborts = r.u32();
-        self.hold_until = r.time();
-        self.retries = r.u64();
-        self.giveups = r.u64();
-    }
-}
+sim_core::snap_struct!(HotplugRetry {
+    consecutive_aborts,
+    hold_until,
+    retries,
+    giveups,
+});
 
 #[cfg(test)]
 mod tests {

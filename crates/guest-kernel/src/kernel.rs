@@ -36,7 +36,7 @@ use crate::thread::{
 };
 
 /// Reasons a thread is parked off every run queue.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum BlockReason {
     /// Asleep on a barrier's futex, waiting for the given generation.
     Barrier(BarrierId, u64),
@@ -49,8 +49,18 @@ pub enum BlockReason {
     /// Waiting for an item on an I/O queue.
     Io(IoQueueId),
     /// Timed sleep; the machine wakes it.
+    #[default]
     Sleep,
 }
+
+sim_core::snap_enum!(BlockReason {
+    0 => Barrier(bar, generation),
+    1 => Mutex(m),
+    2 => Cond(c, m),
+    3 => Sem(s),
+    4 => Io(q),
+    5 => Sleep,
+});
 
 /// Lifecycle state of a thread.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -67,14 +77,28 @@ pub enum TState {
     Exited,
 }
 
+sim_core::snap_enum!(TState {
+    0 => New,
+    1 => Ready,
+    2 => Running,
+    3 => Blocked(b),
+    4 => Exited,
+});
+
 /// What happens when an [`Activity::Overhead`] completes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Then {
     /// Ask the program for the next action.
+    #[default]
     Dispatch,
     /// Park the thread.
     Block(BlockReason),
 }
+
+sim_core::snap_enum!(Then {
+    0 => Dispatch,
+    1 => Block(b),
+});
 
 /// What the thread does while it owns CPU.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -121,6 +145,24 @@ pub enum Activity {
         /// The lock released at the end.
         lock: KLockId,
     },
+}
+
+sim_core::snap_enum!(Activity {
+    0 => Compute { remaining },
+    1 => Overhead { remaining, then },
+    2 => BarrierSpin { bar, generation, budget },
+    3 => UserSpin { lock },
+    4 => KernelSpin { lock, hold, budget },
+    5 => InKernel { remaining, lock },
+});
+
+/// The value a thread's activity slot is read into from an image.
+impl Default for Activity {
+    fn default() -> Self {
+        Activity::Compute {
+            remaining: SimDuration::ZERO,
+        }
+    }
 }
 
 impl Activity {
@@ -233,11 +275,13 @@ impl GuestConfig {
 
 /// A queued piece of kernel work on one vCPU (tick handlers, context
 /// switches, migration costs, daemon work). Runs ahead of user threads.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct KWork {
     remaining: SimDuration,
     tag: Option<u64>,
 }
+
+sim_core::snap_struct!(KWork { remaining, tag });
 
 /// One thread.
 struct Thread {
@@ -257,6 +301,20 @@ struct Thread {
     /// mutex: park there instead of on the condvar.
     block_override: Option<BlockReason>,
 }
+
+// Scheduler state, current activity, and program progress; the kind is
+// structural.
+sim_core::snap_struct!(Thread {
+    state,
+    vruntime,
+    last_vcpu,
+    activity,
+    runtime_total,
+    spin_waste,
+    pending_wake,
+    block_override,
+    program,
+} skip { kind });
 
 /// One vCPU's kernel-side state.
 struct GVcpu {
@@ -283,6 +341,24 @@ struct GVcpu {
     io_irqs: u64,
 }
 
+sim_core::snap_struct!(GVcpu {
+    online,
+    running,
+    current,
+    rq,
+    kwork,
+    last_advanced,
+    next_tick,
+    ticks_since_balance,
+    evacuated,
+    pv_blocked,
+    stall_until,
+    pending_resched,
+    timer_ints,
+    resched_ipis,
+    io_irqs,
+});
+
 /// One I/O wait queue (e.g. a socket's accept/request queue).
 #[derive(Clone, Debug, Default)]
 struct IoQueue {
@@ -294,6 +370,13 @@ struct IoQueue {
     /// Items dropped at capacity.
     drops: u64,
 }
+
+sim_core::snap_struct!(IoQueue {
+    backlog,
+    waiters,
+    capacity,
+    drops,
+});
 
 /// Aggregate kernel statistics.
 #[derive(Clone, Copy, Debug, Default)]
@@ -309,6 +392,14 @@ pub struct GuestStats {
     /// pv-spinlock vCPU yields.
     pub pv_yields: u64,
 }
+
+sim_core::snap_struct!(GuestStats {
+    thread_migrations,
+    context_switches,
+    futex_waits,
+    futex_wakes,
+    pv_yields,
+});
 
 /// The guest kernel for one domain.
 pub struct GuestKernel {
@@ -331,6 +422,22 @@ pub struct GuestKernel {
     /// recycling story as `wake_scratch` but for `(vruntime, tid)` pairs.
     evac_scratch: Vec<(u64, ThreadId)>,
 }
+
+// The complete mutable kernel state. The configuration and the
+// thread/sync-object *population* are structural — restore targets a
+// twin built by the same setup code — so the populations load as twins.
+// A thread running a program that cannot snapshot (closure-driven
+// [`crate::thread::Looping`]) makes the checkpoint panic.
+sim_core::snap_struct!(GuestKernel "kernel" {
+    threads: twin "thread count differs from twin",
+    vcpus: twin "vCPU count differs from twin",
+    sync,
+    klocks,
+    freeze_mask,
+    io_queues: twin "I/O queue count differs from twin",
+    stats,
+    spin_waste_total,
+} skip { config, wake_scratch, evac_scratch });
 
 impl GuestKernel {
     /// Boots a guest kernel with all vCPUs online and idle.
@@ -2744,320 +2851,5 @@ mod procfs_tests {
         let cpu1: u64 = cols[2].parse().unwrap();
         assert!(cpu0 >= 4, "{snap}");
         assert_eq!(cpu1, 0, "{snap}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Checkpoint/restore.
-// ---------------------------------------------------------------------
-
-use sim_core::snap::{SnapReader, SnapWriter};
-
-fn save_block_reason(w: &mut SnapWriter, b: &BlockReason) {
-    match *b {
-        BlockReason::Barrier(BarrierId(i), generation) => {
-            w.u8(0);
-            w.usize(i);
-            w.u64(generation);
-        }
-        BlockReason::Mutex(m) => {
-            w.u8(1);
-            w.usize(m.0);
-        }
-        BlockReason::Cond(c, m) => {
-            w.u8(2);
-            w.usize(c.0);
-            w.usize(m.0);
-        }
-        BlockReason::Sem(s) => {
-            w.u8(3);
-            w.usize(s.0);
-        }
-        BlockReason::Io(q) => {
-            w.u8(4);
-            w.usize(q.0);
-        }
-        BlockReason::Sleep => w.u8(5),
-    }
-}
-
-fn load_block_reason(r: &mut SnapReader<'_>) -> BlockReason {
-    match r.u8() {
-        0 => BlockReason::Barrier(BarrierId(r.usize()), r.u64()),
-        1 => BlockReason::Mutex(crate::thread::MutexId(r.usize())),
-        2 => BlockReason::Cond(
-            crate::thread::CondId(r.usize()),
-            crate::thread::MutexId(r.usize()),
-        ),
-        3 => BlockReason::Sem(crate::thread::SemId(r.usize())),
-        4 => BlockReason::Io(IoQueueId(r.usize())),
-        5 => BlockReason::Sleep,
-        t => panic!("unknown BlockReason tag {t}"),
-    }
-}
-
-fn save_tstate(w: &mut SnapWriter, s: &TState) {
-    match s {
-        TState::New => w.u8(0),
-        TState::Ready => w.u8(1),
-        TState::Running => w.u8(2),
-        TState::Blocked(b) => {
-            w.u8(3);
-            save_block_reason(w, b);
-        }
-        TState::Exited => w.u8(4),
-    }
-}
-
-fn load_tstate(r: &mut SnapReader<'_>) -> TState {
-    match r.u8() {
-        0 => TState::New,
-        1 => TState::Ready,
-        2 => TState::Running,
-        3 => TState::Blocked(load_block_reason(r)),
-        4 => TState::Exited,
-        t => panic!("unknown TState tag {t}"),
-    }
-}
-
-fn save_activity(w: &mut SnapWriter, a: &Activity) {
-    match *a {
-        Activity::Compute { remaining } => {
-            w.u8(0);
-            w.dur(remaining);
-        }
-        Activity::Overhead {
-            remaining,
-            ref then,
-        } => {
-            w.u8(1);
-            w.dur(remaining);
-            match then {
-                Then::Dispatch => w.u8(0),
-                Then::Block(b) => {
-                    w.u8(1);
-                    save_block_reason(w, b);
-                }
-            }
-        }
-        Activity::BarrierSpin {
-            bar,
-            generation,
-            budget,
-        } => {
-            w.u8(2);
-            w.usize(bar.0);
-            w.u64(generation);
-            w.opt(budget.as_ref(), |w, d| w.dur(*d));
-        }
-        Activity::UserSpin { lock } => {
-            w.u8(3);
-            w.usize(lock.0);
-        }
-        Activity::KernelSpin { lock, hold, budget } => {
-            w.u8(4);
-            w.usize(lock.0);
-            w.dur(hold);
-            w.opt(budget.as_ref(), |w, d| w.dur(*d));
-        }
-        Activity::InKernel { remaining, lock } => {
-            w.u8(5);
-            w.dur(remaining);
-            w.usize(lock.0);
-        }
-    }
-}
-
-fn load_activity(r: &mut SnapReader<'_>) -> Activity {
-    match r.u8() {
-        0 => Activity::Compute { remaining: r.dur() },
-        1 => Activity::Overhead {
-            remaining: r.dur(),
-            then: match r.u8() {
-                0 => Then::Dispatch,
-                1 => Then::Block(load_block_reason(r)),
-                t => panic!("unknown Then tag {t}"),
-            },
-        },
-        2 => Activity::BarrierSpin {
-            bar: BarrierId(r.usize()),
-            generation: r.u64(),
-            budget: r.opt(|r| r.dur()),
-        },
-        3 => Activity::UserSpin {
-            lock: crate::thread::SpinId(r.usize()),
-        },
-        4 => Activity::KernelSpin {
-            lock: crate::thread::KLockId(r.usize()),
-            hold: r.dur(),
-            budget: r.opt(|r| r.dur()),
-        },
-        5 => Activity::InKernel {
-            remaining: r.dur(),
-            lock: crate::thread::KLockId(r.usize()),
-        },
-        t => panic!("unknown Activity tag {t}"),
-    }
-}
-
-impl GuestKernel {
-    /// Serializes the complete mutable kernel state: every thread
-    /// (scheduler state, current activity, program progress), every
-    /// vCPU (run queue, kernel work, interrupt counters), sync objects,
-    /// kernel locks, freeze mask, and I/O queues. The configuration and
-    /// the thread/sync-object *population* are structural — restore
-    /// targets a twin built by the same setup code — so `load` asserts
-    /// the populations match instead of rebuilding them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any thread runs a program that cannot snapshot
-    /// (closure-driven [`crate::thread::Looping`]).
-    pub fn save(&self, w: &mut SnapWriter) {
-        let GuestKernel {
-            config: _,
-            vcpus,
-            threads,
-            sync,
-            klocks,
-            freeze_mask,
-            io_queues,
-            stats,
-            spin_waste_total,
-            wake_scratch: _,
-            evac_scratch: _,
-        } = self;
-        w.section("kernel");
-        w.seq(threads.iter().enumerate(), |w, (i, t)| {
-            assert!(
-                t.program.snapshot_supported(),
-                "checkpoint unsupported: thread {i} program \"{}\" cannot snapshot",
-                t.program.label()
-            );
-            save_tstate(w, &t.state);
-            w.u64(t.vruntime);
-            w.usize(t.last_vcpu.index());
-            w.opt(t.activity.as_ref(), save_activity);
-            w.dur(t.runtime_total);
-            w.dur(t.spin_waste);
-            w.bool(t.pending_wake);
-            w.opt(t.block_override.as_ref(), save_block_reason);
-            t.program.save_state(w);
-        });
-        w.seq(vcpus.iter(), |w, v| {
-            w.bool(v.online);
-            w.bool(v.running);
-            w.opt(v.current.as_ref(), |w, t| w.usize(t.0));
-            v.rq.save(w);
-            w.seq(v.kwork.iter(), |w, k| {
-                w.dur(k.remaining);
-                w.opt(k.tag.as_ref(), |w, &t| w.u64(t));
-            });
-            w.time(v.last_advanced);
-            w.time(v.next_tick);
-            w.u32(v.ticks_since_balance);
-            w.bool(v.evacuated);
-            w.bool(v.pv_blocked);
-            w.opt(v.stall_until.as_ref(), |w, &t| w.time(t));
-            w.bool(v.pending_resched);
-            w.u64(v.timer_ints);
-            w.u64(v.resched_ipis);
-            w.u64(v.io_irqs);
-        });
-        sync.save(w);
-        klocks.save(w);
-        freeze_mask.save(w);
-        w.seq(io_queues.iter(), |w, q| {
-            w.u64(q.backlog);
-            w.seq(q.waiters.iter(), |w, t| w.usize(t.0));
-            w.opt(q.capacity.as_ref(), |w, &c| w.u64(c));
-            w.u64(q.drops);
-        });
-        let GuestStats {
-            thread_migrations,
-            context_switches,
-            futex_waits,
-            futex_wakes,
-            pv_yields,
-        } = stats;
-        w.u64(*thread_migrations);
-        w.u64(*context_switches);
-        w.u64(*futex_waits);
-        w.u64(*futex_wakes);
-        w.u64(*pv_yields);
-        w.dur(*spin_waste_total);
-    }
-
-    /// Restores state saved by [`GuestKernel::save`] into a structural
-    /// twin: same config, same spawned threads (in spawn order), same
-    /// sync objects, locks, and I/O queues.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) {
-        r.section("kernel");
-        let n_threads = r.usize();
-        assert_eq!(
-            n_threads,
-            self.threads.len(),
-            "thread count differs from twin"
-        );
-        for t in &mut self.threads {
-            t.state = load_tstate(r);
-            t.vruntime = r.u64();
-            t.last_vcpu = VcpuId(r.usize());
-            t.activity = r.opt(load_activity);
-            t.runtime_total = r.dur();
-            t.spin_waste = r.dur();
-            t.pending_wake = r.bool();
-            t.block_override = r.opt(load_block_reason);
-            t.program.load_state(r);
-        }
-        let n_vcpus = r.usize();
-        assert_eq!(n_vcpus, self.vcpus.len(), "vCPU count differs from twin");
-        for v in &mut self.vcpus {
-            v.online = r.bool();
-            v.running = r.bool();
-            v.current = r.opt(|r| ThreadId(r.usize()));
-            v.rq.load(r);
-            v.kwork = r
-                .seq(|r| KWork {
-                    remaining: r.dur(),
-                    tag: r.opt(|r| r.u64()),
-                })
-                .into();
-            v.last_advanced = r.time();
-            v.next_tick = r.time();
-            v.ticks_since_balance = r.u32();
-            v.evacuated = r.bool();
-            v.pv_blocked = r.bool();
-            v.stall_until = r.opt(|r| r.time());
-            v.pending_resched = r.bool();
-            v.timer_ints = r.u64();
-            v.resched_ipis = r.u64();
-            v.io_irqs = r.u64();
-        }
-        self.sync.load(r);
-        self.klocks.load(r);
-        self.freeze_mask.load(r);
-        let n_queues = r.usize();
-        assert_eq!(
-            n_queues,
-            self.io_queues.len(),
-            "I/O queue count differs from twin"
-        );
-        for q in &mut self.io_queues {
-            q.backlog = r.u64();
-            q.waiters = r.seq(|r| ThreadId(r.usize())).into();
-            q.capacity = r.opt(|r| r.u64());
-            q.drops = r.u64();
-        }
-        self.stats = GuestStats {
-            thread_migrations: r.u64(),
-            context_switches: r.u64(),
-            futex_waits: r.u64(),
-            futex_wakes: r.u64(),
-            pv_yields: r.u64(),
-        };
-        self.spin_waste_total = r.dur();
-        self.wake_scratch.clear();
-        self.evac_scratch.clear();
     }
 }

@@ -159,47 +159,18 @@ impl KlockTable {
         self.locks.is_empty()
     }
 }
-impl KernelLock {
-    fn save(&self, w: &mut sim_core::snap::SnapWriter) {
-        let KernelLock {
-            owner,
-            waiters,
-            acquisitions,
-            contended,
-        } = self;
-        w.opt(owner.as_ref(), |w, t| w.usize(t.0));
-        w.seq(waiters.iter(), |w, t| w.usize(t.0));
-        w.u64(*acquisitions);
-        w.u64(*contended);
-    }
+sim_core::snap_struct!(KernelLock {
+    owner,
+    waiters,
+    acquisitions,
+    contended,
+});
 
-    fn load(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        self.owner = r.opt(|r| ThreadId(r.usize()));
-        self.waiters = r.seq(|r| ThreadId(r.usize())).into();
-        self.acquisitions = r.u64();
-        self.contended = r.u64();
-    }
-}
-
-impl KlockTable {
-    /// Serializes every lock's ownership/wait state (the policy is
-    /// structural: the restore twin is built with the same config).
-    pub fn save(&self, w: &mut sim_core::snap::SnapWriter) {
-        w.section("klocks");
-        w.seq(self.locks.iter(), |w, l| l.save(w));
-    }
-
-    /// Restores state saved by [`KlockTable::save`] into a structurally
-    /// identical table (same lock count).
-    pub fn load(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        r.section("klocks");
-        let n = r.usize();
-        assert_eq!(n, self.locks.len(), "klock count differs from twin");
-        for l in &mut self.locks {
-            l.load(r);
-        }
-    }
-}
+// Every lock's ownership/wait state; the policy is structural (the
+// restore twin is built with the same config).
+sim_core::snap_struct!(KlockTable "klocks" {
+    locks: twin "klock count differs from twin",
+} skip { policy });
 
 #[cfg(test)]
 mod tests {

@@ -115,26 +115,10 @@ impl RunQueue {
         self.queue.clear();
     }
 }
-impl RunQueue {
-    /// Serializes the queue contents in order plus the vruntime floor.
-    pub fn save(&self, w: &mut sim_core::snap::SnapWriter) {
-        let RunQueue {
-            queue,
-            min_vruntime,
-        } = self;
-        w.seq(queue.iter(), |w, &(vr, t)| {
-            w.u64(vr);
-            w.usize(t.0);
-        });
-        w.u64(*min_vruntime);
-    }
-
-    /// Restores state saved by [`RunQueue::save`].
-    pub fn load(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        self.queue = r.seq(|r| (r.u64(), ThreadId(r.usize())));
-        self.min_vruntime = r.u64();
-    }
-}
+sim_core::snap_struct!(RunQueue {
+    queue,
+    min_vruntime
+});
 
 #[cfg(test)]
 mod tests {

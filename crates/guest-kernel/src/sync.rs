@@ -386,123 +386,31 @@ impl SyncTable {
         SemId(self.semaphores.len() - 1)
     }
 }
-impl Barrier {
-    fn save(&self, w: &mut sim_core::snap::SnapWriter) {
-        let Barrier {
-            parties,
-            spin_budget,
-            arrived,
-            generation,
-            blocked,
-        } = self;
-        w.usize(*parties);
-        w.opt(spin_budget.as_ref(), |w, d| w.dur(*d));
-        w.usize(*arrived);
-        w.u64(*generation);
-        w.seq(blocked.iter(), |w, t| w.usize(t.0));
-    }
+sim_core::snap_struct!(Barrier {
+    parties,
+    spin_budget,
+    arrived,
+    generation,
+    blocked,
+});
 
-    fn load(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        self.parties = r.usize();
-        self.spin_budget = r.opt(|r| r.dur());
-        self.arrived = r.usize();
-        self.generation = r.u64();
-        self.blocked = r.seq(|r| ThreadId(r.usize()));
-    }
-}
+sim_core::snap_struct!(Mutex { owner, waiters });
 
-impl Mutex {
-    fn save(&self, w: &mut sim_core::snap::SnapWriter) {
-        let Mutex { owner, waiters } = self;
-        w.opt(owner.as_ref(), |w, t| w.usize(t.0));
-        w.seq(waiters.iter(), |w, t| w.usize(t.0));
-    }
+sim_core::snap_struct!(Condvar { waiters });
 
-    fn load(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        self.owner = r.opt(|r| ThreadId(r.usize()));
-        self.waiters = r.seq(|r| ThreadId(r.usize())).into();
-    }
-}
+sim_core::snap_struct!(UserSpinLock { owner, waiters });
 
-impl Condvar {
-    fn save(&self, w: &mut sim_core::snap::SnapWriter) {
-        let Condvar { waiters } = self;
-        w.seq(waiters.iter(), |w, t| w.usize(t.0));
-    }
+sim_core::snap_struct!(Semaphore { count, waiters });
 
-    fn load(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        self.waiters = r.seq(|r| ThreadId(r.usize())).into();
-    }
-}
-
-impl UserSpinLock {
-    fn save(&self, w: &mut sim_core::snap::SnapWriter) {
-        let UserSpinLock { owner, waiters } = self;
-        w.opt(owner.as_ref(), |w, t| w.usize(t.0));
-        w.seq(waiters.iter(), |w, t| w.usize(t.0));
-    }
-
-    fn load(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        self.owner = r.opt(|r| ThreadId(r.usize()));
-        self.waiters = r.seq(|r| ThreadId(r.usize())).into();
-    }
-}
-
-impl Semaphore {
-    fn save(&self, w: &mut sim_core::snap::SnapWriter) {
-        let Semaphore { count, waiters } = self;
-        w.u64(*count);
-        w.seq(waiters.iter(), |w, t| w.usize(t.0));
-    }
-
-    fn load(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        self.count = r.u64();
-        self.waiters = r.seq(|r| ThreadId(r.usize())).into();
-    }
-}
-
-impl SyncTable {
-    /// Serializes every sync object's waiter/ownership state in index
-    /// order. Object *counts* are structural (the restore twin creates
-    /// the same objects), so load asserts them rather than rebuilding.
-    pub fn save(&self, w: &mut sim_core::snap::SnapWriter) {
-        let SyncTable {
-            barriers,
-            mutexes,
-            condvars,
-            spinlocks,
-            semaphores,
-        } = self;
-        w.section("sync");
-        w.seq(barriers.iter(), |w, b| b.save(w));
-        w.seq(mutexes.iter(), |w, m| m.save(w));
-        w.seq(condvars.iter(), |w, c| c.save(w));
-        w.seq(spinlocks.iter(), |w, s| s.save(w));
-        w.seq(semaphores.iter(), |w, s| s.save(w));
-    }
-
-    /// Restores state saved by [`SyncTable::save`].
-    pub fn load(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        r.section("sync");
-        fn fill<T>(
-            r: &mut sim_core::snap::SnapReader<'_>,
-            items: &mut [T],
-            what: &str,
-            mut f: impl FnMut(&mut T, &mut sim_core::snap::SnapReader<'_>),
-        ) {
-            let n = r.usize();
-            assert_eq!(n, items.len(), "{what} count differs from twin");
-            for it in items {
-                f(it, r);
-            }
-        }
-        fill(r, &mut self.barriers, "barrier", |b, r| b.load(r));
-        fill(r, &mut self.mutexes, "mutex", |m, r| m.load(r));
-        fill(r, &mut self.condvars, "condvar", |c, r| c.load(r));
-        fill(r, &mut self.spinlocks, "spinlock", |s, r| s.load(r));
-        fill(r, &mut self.semaphores, "semaphore", |s, r| s.load(r));
-    }
-}
+// Every sync object's waiter/ownership state in index order. Object
+// counts are structural (the restore twin creates the same objects).
+sim_core::snap_struct!(SyncTable "sync" {
+    barriers: twin "barrier count differs from twin",
+    mutexes: twin "mutex count differs from twin",
+    condvars: twin "condvar count differs from twin",
+    spinlocks: twin "spinlock count differs from twin",
+    semaphores: twin "semaphore count differs from twin",
+});
 
 #[cfg(test)]
 mod tests {

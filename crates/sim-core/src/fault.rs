@@ -283,6 +283,20 @@ impl FaultStats {
     }
 }
 
+crate::snap_struct!(FaultStats {
+    notify_dropped,
+    notify_delayed,
+    notify_duplicated,
+    ipi_dropped,
+    ipi_delayed,
+    ipi_duplicated,
+    steal_spikes,
+    daemon_crashes,
+    stale_reads,
+    torn_reads,
+    hotplug_aborts,
+});
+
 /// A live, seeded fault plan: configuration plus the private RNG stream
 /// that makes every decision reproducible.
 #[derive(Clone, Debug)]
@@ -291,6 +305,10 @@ pub struct FaultPlan {
     rng: SimRng,
     stats: FaultStats,
 }
+
+// The configuration is structural: a restore target is built from the
+// same config, so only the stream position and counters travel.
+crate::snap_struct!(FaultPlan "fault" { rng, stats } skip { config });
 
 impl FaultPlan {
     /// Builds a plan; the RNG is seeded from `config.seed` only.
@@ -310,72 +328,6 @@ impl FaultPlan {
     /// Counters of everything injected so far.
     pub fn stats(&self) -> &FaultStats {
         &self.stats
-    }
-
-    /// Serializes the mutable plan state (RNG position + counters). The
-    /// configuration is structural: a restore target is built from the
-    /// same config, so only the stream position travels in the image.
-    pub fn save(&self, w: &mut crate::snap::SnapWriter) {
-        let FaultPlan {
-            config: _,
-            rng,
-            stats,
-        } = self;
-        w.section("fault");
-        for s in rng.state() {
-            w.u64(s);
-        }
-        let FaultStats {
-            notify_dropped,
-            notify_delayed,
-            notify_duplicated,
-            ipi_dropped,
-            ipi_delayed,
-            ipi_duplicated,
-            steal_spikes,
-            daemon_crashes,
-            stale_reads,
-            torn_reads,
-            hotplug_aborts,
-        } = stats;
-        for v in [
-            notify_dropped,
-            notify_delayed,
-            notify_duplicated,
-            ipi_dropped,
-            ipi_delayed,
-            ipi_duplicated,
-            steal_spikes,
-            daemon_crashes,
-            stale_reads,
-            torn_reads,
-            hotplug_aborts,
-        ] {
-            w.u64(*v);
-        }
-    }
-
-    /// Restores the state saved by [`FaultPlan::save`] into a plan built
-    /// from the same configuration.
-    pub fn load(&mut self, r: &mut crate::snap::SnapReader<'_>) {
-        r.section("fault");
-        let mut s = [0u64; 4];
-        for v in &mut s {
-            *v = r.u64();
-        }
-        self.rng = SimRng::from_state(s);
-        let stats = &mut self.stats;
-        stats.notify_dropped = r.u64();
-        stats.notify_delayed = r.u64();
-        stats.notify_duplicated = r.u64();
-        stats.ipi_dropped = r.u64();
-        stats.ipi_delayed = r.u64();
-        stats.ipi_duplicated = r.u64();
-        stats.steal_spikes = r.u64();
-        stats.daemon_crashes = r.u64();
-        stats.stale_reads = r.u64();
-        stats.torn_reads = r.u64();
-        stats.hotplug_aborts = r.u64();
     }
 
     fn classify(

@@ -9,8 +9,10 @@
 macro_rules! define_id {
     ($(#[$meta:meta])* $name:ident, $prefix:expr) => {
         $(#[$meta])*
-        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub usize);
+
+        $crate::snap_struct!($name(index));
 
         impl $name {
             /// The underlying dense index.
@@ -64,13 +66,15 @@ define_id!(
 );
 
 /// A fully qualified vCPU: domain plus in-domain index.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GlobalVcpu {
     /// The owning domain.
     pub dom: DomId,
     /// The vCPU index within the domain.
     pub vcpu: VcpuId,
 }
+
+crate::snap_struct!(GlobalVcpu { dom, vcpu });
 
 impl GlobalVcpu {
     /// Convenience constructor.

@@ -12,6 +12,10 @@ pub struct SimRng {
     s: [u64; 4],
 }
 
+// Images carry the four state words, so a restored stream resumes at
+// exactly the checkpointed draw.
+crate::snap_struct!(SimRng { s });
+
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -30,17 +34,6 @@ impl SimRng {
             splitmix64(&mut sm),
             splitmix64(&mut sm),
         ];
-        SimRng { s }
-    }
-
-    /// The raw xoshiro256** state, for checkpoint images. Restoring via
-    /// [`SimRng::from_state`] resumes the stream at exactly this point.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuilds a generator from a state captured by [`SimRng::state`].
-    pub fn from_state(s: [u64; 4]) -> SimRng {
         SimRng { s }
     }
 

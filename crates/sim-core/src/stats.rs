@@ -128,6 +128,14 @@ pub struct Histogram {
     base_ln: f64,
 }
 
+// The base is a compile-time constant, so it is not stored; a base
+// change is a format change.
+crate::snap_struct!(Histogram "hist" {
+    buckets: twin "histogram bucket count drifted",
+    zero_count,
+    total,
+} skip { base_ln });
+
 const HISTOGRAM_BUCKETS: usize = 512;
 /// Each bucket spans a factor of 2^(1/16) ≈ 4.4%.
 const HISTOGRAM_BASE: f64 = 1.044_273_782_427_413_8;
@@ -153,32 +161,6 @@ impl Histogram {
         debug_assert!(value >= 1);
         let idx = ((value as f64).ln() / self.base_ln) as usize;
         idx.min(HISTOGRAM_BUCKETS - 1)
-    }
-
-    /// Serializes the counts (the base is a compile-time constant, so it
-    /// is not stored; a base change is a format change).
-    pub fn save(&self, w: &mut crate::snap::SnapWriter) {
-        w.section("hist");
-        w.seq(self.buckets.iter(), |w, &b| w.u64(b));
-        w.u64(self.zero_count);
-        w.u64(self.total);
-    }
-
-    /// Rebuilds a histogram saved by [`Histogram::save`].
-    pub fn load(r: &mut crate::snap::SnapReader<'_>) -> Self {
-        r.section("hist");
-        let buckets = r.seq(|r| r.u64());
-        assert_eq!(
-            buckets.len(),
-            HISTOGRAM_BUCKETS,
-            "histogram bucket count drifted"
-        );
-        Histogram {
-            buckets,
-            zero_count: r.u64(),
-            total: r.u64(),
-            base_ln: HISTOGRAM_BASE.ln(),
-        }
     }
 
     /// Records one value.

@@ -5,12 +5,9 @@
 //! ring gives the last few thousand scheduling decisions without paying
 //! for unbounded logging during long runs.
 //!
-//! The hot path is allocation-free: recorded events are typed
-//! ([`TraceEvent`]) or static labels, stored as fixed-size values and
-//! rendered lazily only when the ring is dumped. Formatting a `String`
-//! per event — the old scheme — is still possible through
-//! [`TraceMessage::Owned`] for tests and ad-hoc tooling, but no
-//! steady-state simulation path uses it.
+//! Recording is allocation-free: an entry holds a typed event
+//! ([`TraceEvent`]) or a static label, stored as a fixed-size value and
+//! rendered lazily only when the ring is dumped.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -68,17 +65,13 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// What one trace entry records: a typed event (allocation-free), a
-/// static label (allocation-free), or an owned string (allocates; kept
-/// for tests and ad-hoc tooling only).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// What one trace entry records: a typed event or a static label.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceMessage {
     /// A typed machine event, rendered lazily.
     Event(TraceEvent),
     /// A static label.
     Static(&'static str),
-    /// An owned string (not used by any hot path).
-    Owned(String),
 }
 
 impl fmt::Display for TraceMessage {
@@ -86,7 +79,6 @@ impl fmt::Display for TraceMessage {
         match self {
             TraceMessage::Event(e) => e.fmt(f),
             TraceMessage::Static(s) => f.write_str(s),
-            TraceMessage::Owned(s) => f.write_str(s),
         }
     }
 }
@@ -100,12 +92,6 @@ impl From<TraceEvent> for TraceMessage {
 impl From<&'static str> for TraceMessage {
     fn from(s: &'static str) -> Self {
         TraceMessage::Static(s)
-    }
-}
-
-impl From<String> for TraceMessage {
-    fn from(s: String) -> Self {
-        TraceMessage::Owned(s)
     }
 }
 
@@ -170,8 +156,8 @@ impl TraceRing {
         self.enabled
     }
 
-    /// Records an entry (no-op when disabled). Hot paths pass a
-    /// [`TraceEvent`] or `&'static str` and allocate nothing; once the
+    /// Records an entry (no-op when disabled). Entries are a
+    /// [`TraceEvent`] or a `&'static str` and allocate nothing; once the
     /// ring is at capacity the evicted slot's storage is reused.
     pub fn push(&mut self, at: SimTime, tag: &'static str, message: impl Into<TraceMessage>) {
         if !self.enabled {
@@ -237,8 +223,8 @@ mod tests {
     #[test]
     fn ring_evicts_oldest() {
         let mut r = TraceRing::new(3);
-        for i in 0..5u64 {
-            r.push(SimTime::from_ms(i), "t", format!("e{i}"));
+        for (i, label) in ["e0", "e1", "e2", "e3", "e4"].into_iter().enumerate() {
+            r.push(SimTime::from_ms(i as u64), "t", label);
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.total_pushed(), 5);
@@ -322,9 +308,9 @@ mod tests {
 
     #[test]
     fn typed_event_entries_are_fixed_size() {
-        // The hot-path variants carry only ids; the whole message stays
-        // well under a cache line, and pushing one allocates nothing
-        // beyond the ring's (reused) slot.
+        // The variants carry only ids or a static label; the whole
+        // message stays well under a cache line, and pushing one
+        // allocates nothing beyond the ring's (reused) slot.
         assert!(std::mem::size_of::<TraceMessage>() <= 40);
     }
 }

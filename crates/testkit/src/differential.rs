@@ -437,6 +437,8 @@ pub fn minimize_pair_adversarial<A: HypervisorSched, B: HypervisorSched>(
 /// `tests/differential.rs` asserts the shrinker actually converges there.
 pub struct BrokenFreezeScheduler(xen_sched::CreditScheduler);
 
+sim_core::snap_struct!(BrokenFreezeScheduler(inner));
+
 impl HypervisorSched for BrokenFreezeScheduler {
     fn new_pool(config: CreditConfig, n_pcpus: usize) -> Self {
         BrokenFreezeScheduler(xen_sched::CreditScheduler::new_pool(config, n_pcpus))

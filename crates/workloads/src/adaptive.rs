@@ -96,6 +96,12 @@ impl ThreadProgram for AdaptiveWorker {
     }
 }
 
+sim_core::snap_struct!(AdaptiveWorker {
+    rng,
+    iter,
+    at_barrier,
+} skip { cfg, rank, pool, barrier });
+
 /// Handle to an installed adaptive run.
 #[derive(Clone, Debug)]
 pub struct AdaptiveRun {

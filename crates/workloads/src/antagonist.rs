@@ -243,6 +243,8 @@ impl ThreadProgram for TickEvader {
     }
 }
 
+sim_core::snap_struct!(TickEvader { resting } skip { tick, mode, stagger });
+
 /// Short bursts, each begun by a timed self-wakeup (a fresh BOOST in
 /// credit), hiding across every predicted tick so the BOOST is never
 /// caught and demoted.
@@ -311,6 +313,8 @@ impl ThreadProgram for BoostFarmer {
     }
 }
 
+sim_core::snap_struct!(BoostFarmer { resting, expect } skip { tick, mode, stagger });
+
 /// Storm poster: posts the ping-pong semaphore between tiny compute
 /// chunks, raising one cross-vCPU reschedule IPI per post.
 struct StormPoster {
@@ -341,6 +345,8 @@ impl ThreadProgram for StormPoster {
     }
 }
 
+sim_core::snap_struct!(StormPoster { posting } skip { sem, mode });
+
 /// Storm waiter: parks on the semaphore (on another vCPU) and does a
 /// token amount of work per received post — its job is to *be woken*.
 struct StormWaiter {
@@ -368,6 +374,8 @@ impl ThreadProgram for StormWaiter {
         "storm-waiter"
     }
 }
+
+sim_core::snap_struct!(StormWaiter { waiting } skip { sem, mode });
 
 /// Square-wave demand: compute through one half-period, sleep through
 /// the other — phase-locked to the wheel clock so all oscillator
@@ -408,6 +416,8 @@ impl ThreadProgram for Oscillator {
         "oscillator"
     }
 }
+
+sim_core::snap_struct!(Oscillator { resting } skip { period, mode });
 
 /// Adds one antagonist VM mounting `spec.kind` in `spec.mode` and
 /// returns its domain. The VM is a plain fixed-size SMP domain — the

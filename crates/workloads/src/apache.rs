@@ -105,34 +105,16 @@ impl ThreadProgram for ApacheWorker {
     fn label(&self) -> &str {
         "httpd-worker"
     }
-
-    fn save_state(&self, w: &mut sim_core::snap::SnapWriter) {
-        for s in self.rng.state() {
-            w.u64(s);
-        }
-        w.u8(match self.phase {
-            Phase::Accept => 0,
-            Phase::KernelPath => 1,
-            Phase::Serve => 2,
-            Phase::Reply => 3,
-        });
-    }
-
-    fn load_state(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        let mut s = [0u64; 4];
-        for v in &mut s {
-            *v = r.u64();
-        }
-        self.rng = SimRng::from_state(s);
-        self.phase = match r.u8() {
-            0 => Phase::Accept,
-            1 => Phase::KernelPath,
-            2 => Phase::Serve,
-            3 => Phase::Reply,
-            t => panic!("unknown httpd worker phase tag {t}"),
-        };
-    }
 }
+
+sim_core::snap_enum!(Phase {
+    0 => Accept,
+    1 => KernelPath,
+    2 => Serve,
+    3 => Reply,
+});
+
+sim_core::snap_struct!(ApacheWorker { rng, phase } skip { cfg, queue, net_lock });
 
 /// A running Apache instance.
 #[derive(Clone, Debug)]

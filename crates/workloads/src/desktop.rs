@@ -88,25 +88,9 @@ impl ThreadProgram for SlideshowViewer {
     fn label(&self) -> &str {
         "slideshow"
     }
-
-    fn save_state(&self, w: &mut sim_core::snap::SnapWriter) {
-        for s in self.rng.state() {
-            w.u64(s);
-        }
-        w.dur(self.burst_left);
-        w.bool(self.in_gap);
-    }
-
-    fn load_state(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        let mut s = [0u64; 4];
-        for v in &mut s {
-            *v = r.u64();
-        }
-        self.rng = SimRng::from_state(s);
-        self.burst_left = r.dur();
-        self.in_gap = r.bool();
-    }
 }
+
+sim_core::snap_struct!(SlideshowViewer { rng, burst_left, in_gap } skip { cfg });
 
 /// The interactive side of the desktop: UI timers and compositor work
 /// waking every few milliseconds for a short burst. Each wake rides a
@@ -139,23 +123,9 @@ impl ThreadProgram for UiTimers {
     fn label(&self) -> &str {
         "ui-timers"
     }
-
-    fn save_state(&self, w: &mut sim_core::snap::SnapWriter) {
-        for s in self.rng.state() {
-            w.u64(s);
-        }
-        w.bool(self.computing);
-    }
-
-    fn load_state(&mut self, r: &mut sim_core::snap::SnapReader<'_>) {
-        let mut s = [0u64; 4];
-        for v in &mut s {
-            *v = r.u64();
-        }
-        self.rng = SimRng::from_state(s);
-        self.computing = r.bool();
-    }
 }
+
+sim_core::snap_struct!(UiTimers { rng, computing } skip { cfg });
 
 /// Adds one 2-vCPU desktop VM running a slideshow (decode/render viewer
 /// plus the interactive UI-timer side) and returns its domain.

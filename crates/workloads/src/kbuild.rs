@@ -97,6 +97,20 @@ impl ThreadProgram for CompilerJob {
     }
 }
 
+sim_core::snap_enum!(Phase {
+    0 => TakeToken,
+    1 => Compile,
+    2 => MmWork,
+    3 => ReleaseToken,
+    4 => Done,
+});
+
+sim_core::snap_struct!(CompilerJob {
+    rng,
+    units_left,
+    phase,
+} skip { cfg, jobserver, mm_lock });
+
 /// Handle to an installed kernel build.
 #[derive(Clone, Debug)]
 pub struct KbuildRun {

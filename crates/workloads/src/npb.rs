@@ -212,6 +212,15 @@ impl ThreadProgram for NpbWorker {
     }
 }
 
+sim_core::snap_enum!(Phase {
+    0 => Compute,
+    1 => MaybeKernelOp,
+    2 => Barrier,
+    3 => Done,
+});
+
+sim_core::snap_struct!(NpbWorker { rng, iter, phase } skip { app, barrier, mm_lock });
+
 /// Handle to an installed NPB run.
 #[derive(Clone, Debug)]
 pub struct NpbRun {

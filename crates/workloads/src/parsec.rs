@@ -266,6 +266,19 @@ impl ThreadProgram for CondBarrierWorker {
     }
 }
 
+sim_core::snap_enum!(CbPhase {
+    0 => Compute,
+    1 => MaybeKernelOp,
+    2 => Barrier,
+    3 => Done,
+});
+
+sim_core::snap_struct!(CondBarrierWorker {
+    rng,
+    round,
+    phase,
+} skip { app, n_threads, mutex, cond, mm_lock, barrier });
+
 /// Pipeline-stage worker over *bounded* queues: consumes one token from
 /// its input queue (freeing the slot), computes, and pushes to the next
 /// stage, blocking when that stage's buffer is full. Backpressure is what
@@ -352,6 +365,22 @@ impl ThreadProgram for PipelineWorker {
     }
 }
 
+sim_core::snap_enum!(PipePhase {
+    0 => Take,
+    1 => FreeSlot,
+    2 => Compute,
+    3 => MaybeKernelOp,
+    4 => AcquireOutSlot,
+    5 => Put,
+    6 => Done,
+});
+
+sim_core::snap_struct!(PipelineWorker {
+    rng,
+    items_left,
+    phase,
+} skip { app, input_items, input_slots, output, mm_lock });
+
 /// Depth of each inter-stage buffer (dedup uses small chunk queues).
 const PIPELINE_QUEUE_DEPTH: u64 = 4;
 
@@ -403,6 +432,12 @@ impl ThreadProgram for DataParallelWorker {
         self.app.name
     }
 }
+
+sim_core::snap_struct!(DataParallelWorker {
+    rng,
+    round,
+    phase,
+} skip { app, barrier, mm_lock });
 
 /// Handle to an installed PARSEC run.
 #[derive(Clone, Debug)]

@@ -50,19 +50,19 @@
 use sim_core::ids::{DomId, GlobalVcpu, PcpuId, VcpuId};
 use sim_core::time::{SimDuration, SimTime};
 
-use sim_core::snap::{SnapReader, SnapWriter};
+use sim_core::snap::Snap;
 
 use crate::credit::{CreditConfig, CreditScheduler, SchedEvent, VcpuState};
 use crate::extend::ExtendInfo;
 
 /// Per-vCPU scheduler state that travels with a live migration.
 ///
-/// Unlike a whole-machine checkpoint ([`HypervisorSched::save`]), a
+/// Unlike a whole-machine checkpoint ([`Snap::save`]), a
 /// migrating domain lands in a *different* pool with its own runqueues
 /// and timeline, so only policy-portable facts are carried: the freeze
 /// flag, whether the vCPU had runnable work, and its credit balance
 /// (ignored by backends without a credit notion).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct VcpuSchedExport {
     /// The guest-requested freeze flag (`SCHEDOP_freezecpu`).
     pub frozen: bool,
@@ -73,6 +73,12 @@ pub struct VcpuSchedExport {
     pub credit: i64,
 }
 
+sim_core::snap_struct!(VcpuSchedExport {
+    frozen,
+    runnable,
+    credit,
+});
+
 /// The per-domain scheduler payload of a live migration, produced by
 /// [`HypervisorSched::export_domain`] and consumed by
 /// [`HypervisorSched::import_domain`] on the destination pool.
@@ -82,10 +88,18 @@ pub struct DomSchedExport {
     pub vcpus: Vec<VcpuSchedExport>,
 }
 
+sim_core::snap_struct!(DomSchedExport { vcpus });
+
 /// The scheduler policy surface consumed by the machine, the vScale
 /// channel, and the differential harness. See the module docs for the
 /// event/generation contract every implementation must honor.
-pub trait HypervisorSched {
+///
+/// The [`Snap`] supertrait is the backend's checkpoint codec: it must
+/// carry the complete mutable state exactly — restoring into a pool
+/// built from the same configuration and populations and resuming must
+/// be indistinguishable from never having stopped, down to runqueue FIFO
+/// order.
+pub trait HypervisorSched: Snap {
     /// Creates a backend managing `n_pcpus` physical CPUs, with timing
     /// parameters (tick, slice, accounting period, extendability window)
     /// taken from the shared `config` block.
@@ -209,23 +223,6 @@ pub trait HypervisorSched {
         0
     }
 
-    /// Serializes the backend's complete mutable state through the
-    /// checkpoint codec, exactly — restoring into a structurally
-    /// identical pool and resuming must be indistinguishable from never
-    /// having stopped, down to runqueue FIFO order. Backends that cannot
-    /// make that promise keep the panicking default.
-    fn save(&self, w: &mut SnapWriter) {
-        let _ = w;
-        unimplemented!("this scheduler backend does not support checkpoint/restore");
-    }
-
-    /// Restores state written by [`HypervisorSched::save`] into a pool
-    /// built from the same configuration and populations (asserted).
-    fn load(&mut self, r: &mut SnapReader<'_>) {
-        let _ = r;
-        unimplemented!("this scheduler backend does not support checkpoint/restore");
-    }
-
     /// Extracts the migration payload for `dom`. The default is built
     /// from the public surface and carries no credit; credit-bearing
     /// backends override it.
@@ -298,14 +295,6 @@ impl HypervisorSched for CreditScheduler {
 
     fn backend_name() -> &'static str {
         "credit"
-    }
-
-    fn save(&self, w: &mut SnapWriter) {
-        self.save_state(w);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) {
-        self.load_state(r);
     }
 
     fn export_domain(&self, dom: DomId) -> DomSchedExport {

@@ -397,121 +397,39 @@ impl VscaleChannel {
 // Checkpoint/restore
 // ---------------------------------------------------------------------------
 
-use sim_core::snap::{SnapReader, SnapWriter};
+sim_core::snap_struct!(DoorbellStats {
+    sent,
+    acked,
+    retransmits,
+    suppressed,
+    exhausted,
+});
 
-impl DoorbellStats {
-    /// Serializes the counters.
-    pub fn save(&self, w: &mut SnapWriter) {
-        let DoorbellStats {
-            sent,
-            acked,
-            retransmits,
-            suppressed,
-            exhausted,
-        } = self;
-        w.u64(*sent);
-        w.u64(*acked);
-        w.u64(*retransmits);
-        w.u64(*suppressed);
-        w.u64(*exhausted);
-    }
+// The full link state, including any outstanding sequence (its armed
+// retransmit timer is requeued by the machine).
+sim_core::snap_struct!(DoorbellLink {
+    next_seq,
+    outstanding,
+    attempt,
+    stats,
+});
 
-    /// Reads counters written by [`DoorbellStats::save`].
-    pub fn load(r: &mut SnapReader<'_>) -> Self {
-        DoorbellStats {
-            sent: r.u64(),
-            acked: r.u64(),
-            retransmits: r.u64(),
-            suppressed: r.u64(),
-            exhausted: r.u64(),
-        }
-    }
-}
+sim_core::snap_struct!(ChannelRecoveryStats {
+    retries,
+    fallbacks,
+    torn_detected,
+    stale_detected,
+});
 
-impl DoorbellLink {
-    /// Serializes the full link state, including any outstanding
-    /// sequence (its armed retransmit timer is requeued by the machine).
-    pub fn save(&self, w: &mut SnapWriter) {
-        let DoorbellLink {
-            next_seq,
-            outstanding,
-            attempt,
-            stats,
-        } = self;
-        w.u64(*next_seq);
-        w.opt(outstanding.as_ref(), |w, s| w.u64(*s));
-        w.u32(*attempt);
-        stats.save(w);
-    }
-
-    /// Reads a link written by [`DoorbellLink::save`].
-    pub fn load(r: &mut SnapReader<'_>) -> Self {
-        DoorbellLink {
-            next_seq: r.u64(),
-            outstanding: r.opt(|r| r.u64()),
-            attempt: r.u32(),
-            stats: DoorbellStats::load(r),
-        }
-    }
-}
-
-impl ChannelRecoveryStats {
-    /// Serializes the counters.
-    pub fn save(&self, w: &mut SnapWriter) {
-        let ChannelRecoveryStats {
-            retries,
-            fallbacks,
-            torn_detected,
-            stale_detected,
-        } = self;
-        w.u64(*retries);
-        w.u64(*fallbacks);
-        w.u64(*torn_detected);
-        w.u64(*stale_detected);
-    }
-
-    /// Reads counters written by [`ChannelRecoveryStats::save`].
-    pub fn load(r: &mut SnapReader<'_>) -> Self {
-        ChannelRecoveryStats {
-            retries: r.u64(),
-            fallbacks: r.u64(),
-            torn_detected: r.u64(),
-            stale_detected: r.u64(),
-        }
-    }
-}
-
-impl VscaleChannel {
-    /// Serializes the endpoint, including the remembered snapshots the
-    /// fault model replays.
-    pub fn save(&self, w: &mut SnapWriter) {
-        let VscaleChannel {
-            reads,
-            last,
-            last_version,
-            last_good,
-            recovery,
-        } = self;
-        w.section("vchan");
-        w.u64(*reads);
-        w.opt(last.as_ref(), |w, i| i.save(w));
-        w.u64(*last_version);
-        w.opt(last_good.as_ref(), |w, i| i.save(w));
-        recovery.save(w);
-    }
-
-    /// Reads an endpoint written by [`VscaleChannel::save`].
-    pub fn load(r: &mut SnapReader<'_>) -> Self {
-        r.section("vchan");
-        VscaleChannel {
-            reads: r.u64(),
-            last: r.opt(ExtendInfo::load),
-            last_version: r.u64(),
-            last_good: r.opt(ExtendInfo::load),
-            recovery: ChannelRecoveryStats::load(r),
-        }
-    }
-}
+// The endpoint, including the remembered snapshots the fault model
+// replays.
+sim_core::snap_struct!(VscaleChannel "vchan" {
+    reads,
+    last,
+    last_version,
+    last_good,
+    recovery,
+});
 
 #[cfg(test)]
 mod tests {

@@ -32,14 +32,11 @@
 use std::collections::VecDeque;
 
 use sim_core::ids::{DomId, GlobalVcpu, PcpuId, VcpuId};
-use sim_core::snap::{SnapReader, SnapWriter};
 use sim_core::soa::VcpuMap;
 use sim_core::time::{SimDuration, SimTime};
 
 use crate::api::{DomSchedExport, HypervisorSched, VcpuSchedExport};
-use crate::credit::{
-    load_gv, load_vcpu_state, save_gv, save_vcpu_state, CreditConfig, SchedEvent, VcpuState,
-};
+use crate::credit::{CreditConfig, PoolDomain, SchedEvent, VcpuState, VcpuStats};
 use crate::extend::{ExtendInfo, ExtendParams};
 
 /// Initial credit grant (and the reset target): 10 ms of wall time at
@@ -54,7 +51,7 @@ const PREEMPT_GRAIN_NS: i64 = 500_000;
 const YIELD_BIAS_NS: i64 = 100_000;
 
 /// Tick-hot per-vCPU state, dense in a [`VcpuMap`]; cold lifetime stats
-/// live in the parallel [`VcpuStats2`] map.
+/// live in the parallel [`VcpuStats`] map.
 #[derive(Clone, Debug)]
 struct Vcpu2 {
     state: VcpuState,
@@ -64,24 +61,13 @@ struct Vcpu2 {
     burn_from: SimTime,
 }
 
-/// Cold per-vCPU lifetime statistics, off the dispatch path.
-#[derive(Clone, Debug, Default)]
-struct VcpuStats2 {
-    wait_total: SimDuration,
-    run_total: SimDuration,
-    scheduled_count: u64,
-}
-
-#[derive(Clone, Debug)]
-struct Dom2 {
-    weight: u32,
-    cap_pcpus: Option<f64>,
-    reservation_pcpus: Option<f64>,
-    consumed_extend: SimDuration,
-    extend: ExtendInfo,
-    /// Kick-path evictions suppressed by the kick-throttle defense.
-    kicks_throttled: u64,
-}
+sim_core::snap_struct!(Vcpu2 {
+    state,
+    credits_ns,
+    last_pcpu,
+    frozen,
+    burn_from,
+});
 
 #[derive(Clone, Debug, Default)]
 struct Pcpu2 {
@@ -94,15 +80,23 @@ struct Pcpu2 {
     switches: u64,
 }
 
+sim_core::snap_struct!(Pcpu2 {
+    runq,
+    current,
+    run_since,
+    gen,
+    switches,
+});
+
 /// The Credit2-style scheduler: see the module docs for the policy.
 pub struct Credit2Scheduler {
     config: CreditConfig,
     pcpus: Vec<Pcpu2>,
-    domains: Vec<Dom2>,
+    domains: Vec<PoolDomain>,
     /// Tick-hot per-vCPU state, dense in `(domain, vcpu)` order.
     hot: VcpuMap<Vcpu2>,
     /// Cold per-vCPU lifetime stats, parallel to `hot`.
-    stats: VcpuMap<VcpuStats2>,
+    stats: VcpuMap<VcpuStats>,
     /// Credit-reset epochs performed so far.
     reset_epochs: u64,
     migrations: u64,
@@ -112,6 +106,18 @@ pub struct Credit2Scheduler {
     params_buf: Vec<ExtendParams>,
     infos_buf: Vec<ExtendInfo>,
 }
+
+sim_core::snap_struct!(Credit2Scheduler "credit2" {
+    pcpus: twin "pCPU count drifted",
+    domains: twin "domain count drifted",
+    hot,
+    stats,
+    reset_epochs,
+    migrations,
+    total_run_ns,
+    extend_window_start,
+    extend_version,
+} skip { config, params_buf, infos_buf });
 
 impl Credit2Scheduler {
     /// Creates a scheduler managing `n_pcpus` physical CPUs.
@@ -319,104 +325,6 @@ impl HypervisorSched for Credit2Scheduler {
         "credit2"
     }
 
-    fn save(&self, w: &mut SnapWriter) {
-        let Credit2Scheduler {
-            config: _,
-            pcpus,
-            domains,
-            hot,
-            stats,
-            reset_epochs,
-            migrations,
-            total_run_ns,
-            extend_window_start,
-            extend_version,
-            params_buf: _,
-            infos_buf: _,
-        } = self;
-        w.section("credit2");
-        w.seq(pcpus.iter(), |w, p| {
-            w.seq(p.runq.iter(), |w, gv| save_gv(w, *gv));
-            w.opt(p.current.as_ref(), |w, gv| save_gv(w, *gv));
-            w.time(p.run_since);
-            w.u64(p.gen);
-            w.u64(p.switches);
-        });
-        w.seq(domains.iter(), |w, d| {
-            w.u32(d.weight);
-            w.opt(d.cap_pcpus.as_ref(), |w, v| w.f64(*v));
-            w.opt(d.reservation_pcpus.as_ref(), |w, v| w.f64(*v));
-            w.dur(d.consumed_extend);
-            d.extend.save(w);
-            w.u64(d.kicks_throttled);
-        });
-        w.seq(hot.values().iter(), |w, v| {
-            save_vcpu_state(w, v.state);
-            w.i64(v.credits_ns);
-            w.usize(v.last_pcpu.index());
-            w.bool(v.frozen);
-            w.time(v.burn_from);
-        });
-        w.seq(stats.values().iter(), |w, s| {
-            w.dur(s.wait_total);
-            w.dur(s.run_total);
-            w.u64(s.scheduled_count);
-        });
-        w.u64(*reset_epochs);
-        w.u64(*migrations);
-        w.u64(*total_run_ns);
-        w.time(*extend_window_start);
-        w.u64(*extend_version);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) {
-        r.section("credit2");
-        let pcpus = r.seq(|r| Pcpu2 {
-            runq: r.seq(load_gv).into(),
-            current: r.opt(load_gv),
-            run_since: r.time(),
-            gen: r.u64(),
-            switches: r.u64(),
-        });
-        assert_eq!(pcpus.len(), self.pcpus.len(), "pCPU count drifted");
-        self.pcpus = pcpus;
-        let domains = r.seq(|r| Dom2 {
-            weight: r.u32(),
-            cap_pcpus: r.opt(|r| r.f64()),
-            reservation_pcpus: r.opt(|r| r.f64()),
-            consumed_extend: r.dur(),
-            extend: ExtendInfo::load(r),
-            kicks_throttled: r.u64(),
-        });
-        assert_eq!(domains.len(), self.domains.len(), "domain count drifted");
-        self.domains = domains;
-        let hot = r.seq(|r| Vcpu2 {
-            state: load_vcpu_state(r),
-            credits_ns: r.i64(),
-            last_pcpu: PcpuId(r.usize()),
-            frozen: r.bool(),
-            burn_from: r.time(),
-        });
-        assert_eq!(hot.len(), self.hot.len(), "vCPU count drifted");
-        for (dst, src) in self.hot.values_mut().iter_mut().zip(hot) {
-            *dst = src;
-        }
-        let stats = r.seq(|r| VcpuStats2 {
-            wait_total: r.dur(),
-            run_total: r.dur(),
-            scheduled_count: r.u64(),
-        });
-        assert_eq!(stats.len(), self.stats.len(), "vCPU count drifted");
-        for (dst, src) in self.stats.values_mut().iter_mut().zip(stats) {
-            *dst = src;
-        }
-        self.reset_epochs = r.u64();
-        self.migrations = r.u64();
-        self.total_run_ns = r.u64();
-        self.extend_window_start = r.time();
-        self.extend_version = r.u64();
-    }
-
     fn export_domain(&self, dom: DomId) -> DomSchedExport {
         DomSchedExport {
             vcpus: self
@@ -482,16 +390,14 @@ impl HypervisorSched for Credit2Scheduler {
             frozen: false,
             burn_from: SimTime::ZERO,
         });
-        let stats_id = self.stats.push_domain(n_vcpus, |_| VcpuStats2::default());
+        let stats_id = self.stats.push_domain(n_vcpus, |_| VcpuStats::default());
         debug_assert_eq!((hot_id, stats_id), (id, id));
-        self.domains.push(Dom2 {
+        self.domains.push(PoolDomain::new(
             weight,
+            n_vcpus,
             cap_pcpus,
             reservation_pcpus,
-            consumed_extend: SimDuration::ZERO,
-            extend: ExtendInfo::initial(n_vcpus),
-            kicks_throttled: 0,
-        });
+        ));
         id
     }
 

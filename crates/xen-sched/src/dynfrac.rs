@@ -27,14 +27,11 @@
 //! the credit backend.
 
 use sim_core::ids::{DomId, GlobalVcpu, PcpuId};
-use sim_core::snap::{SnapReader, SnapWriter};
 use sim_core::soa::VcpuMap;
 use sim_core::time::{SimDuration, SimTime};
 
 use crate::api::HypervisorSched;
-use crate::credit::{
-    load_gv, load_vcpu_state, save_gv, save_vcpu_state, CreditConfig, SchedEvent, VcpuState,
-};
+use crate::credit::{CreditConfig, PoolDomain, SchedEvent, VcpuState, VcpuStats};
 use crate::extend::{ExtendInfo, ExtendParams};
 
 /// Preemption granularity: a waiting vCPU preempts only when it trails
@@ -42,7 +39,7 @@ use crate::extend::{ExtendInfo, ExtendParams};
 const GRAIN_NS: u64 = 1_000_000;
 
 /// Tick-hot per-vCPU state, dense in a [`VcpuMap`]; cold lifetime stats
-/// live in the parallel [`VcpuStatsD`] map.
+/// live in the parallel [`VcpuStats`] map.
 #[derive(Clone, Debug)]
 struct VcpuD {
     state: VcpuState,
@@ -55,24 +52,14 @@ struct VcpuD {
     burn_from: SimTime,
 }
 
-/// Cold per-vCPU lifetime statistics, off the dispatch path.
-#[derive(Clone, Debug, Default)]
-struct VcpuStatsD {
-    wait_total: SimDuration,
-    run_total: SimDuration,
-    scheduled_count: u64,
-}
-
-#[derive(Clone, Debug)]
-struct DomD {
-    weight: u32,
-    cap_pcpus: Option<f64>,
-    reservation_pcpus: Option<f64>,
-    consumed_extend: SimDuration,
-    extend: ExtendInfo,
-    /// Kick-path evictions suppressed by the kick-throttle defense.
-    kicks_throttled: u64,
-}
+sim_core::snap_struct!(VcpuD {
+    state,
+    vruntime_ns,
+    frac_permille,
+    last_pcpu,
+    frozen,
+    burn_from,
+});
 
 #[derive(Clone, Debug, Default)]
 struct PcpuD {
@@ -82,15 +69,22 @@ struct PcpuD {
     switches: u64,
 }
 
+sim_core::snap_struct!(PcpuD {
+    current,
+    run_since,
+    gen,
+    switches,
+});
+
 /// The dynamic-fractional scheduler: see the module docs for the policy.
 pub struct DynFracScheduler {
     config: CreditConfig,
     pcpus: Vec<PcpuD>,
-    domains: Vec<DomD>,
+    domains: Vec<PoolDomain>,
     /// Tick-hot per-vCPU state, dense in `(domain, vcpu)` order.
     hot: VcpuMap<VcpuD>,
     /// Cold per-vCPU lifetime stats, parallel to `hot`.
-    stats: VcpuMap<VcpuStatsD>,
+    stats: VcpuMap<VcpuStats>,
     /// One global runnable queue in wake order; pick-next scans for the
     /// minimum virtual time.
     runnable: Vec<GlobalVcpu>,
@@ -103,6 +97,19 @@ pub struct DynFracScheduler {
     params_buf: Vec<ExtendParams>,
     infos_buf: Vec<ExtendInfo>,
 }
+
+sim_core::snap_struct!(DynFracScheduler "dynfrac" {
+    pcpus: twin "pCPU count drifted",
+    domains: twin "domain count drifted",
+    hot,
+    stats,
+    runnable,
+    epochs,
+    migrations,
+    total_run_ns,
+    extend_window_start,
+    extend_version,
+} skip { config, params_buf, infos_buf });
 
 impl DynFracScheduler {
     /// Creates a scheduler managing `n_pcpus` physical CPUs.
@@ -323,107 +330,6 @@ impl HypervisorSched for DynFracScheduler {
         "dynfrac"
     }
 
-    fn save(&self, w: &mut SnapWriter) {
-        let DynFracScheduler {
-            config: _,
-            pcpus,
-            domains,
-            hot,
-            stats,
-            runnable,
-            epochs,
-            migrations,
-            total_run_ns,
-            extend_window_start,
-            extend_version,
-            params_buf: _,
-            infos_buf: _,
-        } = self;
-        w.section("dynfrac");
-        w.seq(pcpus.iter(), |w, p| {
-            w.opt(p.current.as_ref(), |w, gv| save_gv(w, *gv));
-            w.time(p.run_since);
-            w.u64(p.gen);
-            w.u64(p.switches);
-        });
-        w.seq(domains.iter(), |w, d| {
-            w.u32(d.weight);
-            w.opt(d.cap_pcpus.as_ref(), |w, v| w.f64(*v));
-            w.opt(d.reservation_pcpus.as_ref(), |w, v| w.f64(*v));
-            w.dur(d.consumed_extend);
-            d.extend.save(w);
-            w.u64(d.kicks_throttled);
-        });
-        w.seq(hot.values().iter(), |w, v| {
-            save_vcpu_state(w, v.state);
-            w.u64(v.vruntime_ns);
-            w.u32(v.frac_permille);
-            w.usize(v.last_pcpu.index());
-            w.bool(v.frozen);
-            w.time(v.burn_from);
-        });
-        w.seq(stats.values().iter(), |w, s| {
-            w.dur(s.wait_total);
-            w.dur(s.run_total);
-            w.u64(s.scheduled_count);
-        });
-        w.seq(runnable.iter(), |w, gv| save_gv(w, *gv));
-        w.u64(*epochs);
-        w.u64(*migrations);
-        w.u64(*total_run_ns);
-        w.time(*extend_window_start);
-        w.u64(*extend_version);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) {
-        r.section("dynfrac");
-        let pcpus = r.seq(|r| PcpuD {
-            current: r.opt(load_gv),
-            run_since: r.time(),
-            gen: r.u64(),
-            switches: r.u64(),
-        });
-        assert_eq!(pcpus.len(), self.pcpus.len(), "pCPU count drifted");
-        self.pcpus = pcpus;
-        let domains = r.seq(|r| DomD {
-            weight: r.u32(),
-            cap_pcpus: r.opt(|r| r.f64()),
-            reservation_pcpus: r.opt(|r| r.f64()),
-            consumed_extend: r.dur(),
-            extend: ExtendInfo::load(r),
-            kicks_throttled: r.u64(),
-        });
-        assert_eq!(domains.len(), self.domains.len(), "domain count drifted");
-        self.domains = domains;
-        let hot = r.seq(|r| VcpuD {
-            state: load_vcpu_state(r),
-            vruntime_ns: r.u64(),
-            frac_permille: r.u32(),
-            last_pcpu: PcpuId(r.usize()),
-            frozen: r.bool(),
-            burn_from: r.time(),
-        });
-        assert_eq!(hot.len(), self.hot.len(), "vCPU count drifted");
-        for (dst, src) in self.hot.values_mut().iter_mut().zip(hot) {
-            *dst = src;
-        }
-        let stats = r.seq(|r| VcpuStatsD {
-            wait_total: r.dur(),
-            run_total: r.dur(),
-            scheduled_count: r.u64(),
-        });
-        assert_eq!(stats.len(), self.stats.len(), "vCPU count drifted");
-        for (dst, src) in self.stats.values_mut().iter_mut().zip(stats) {
-            *dst = src;
-        }
-        self.runnable = r.seq(load_gv);
-        self.epochs = r.u64();
-        self.migrations = r.u64();
-        self.total_run_ns = r.u64();
-        self.extend_window_start = r.time();
-        self.extend_version = r.u64();
-    }
-
     fn n_pcpus(&self) -> usize {
         self.pcpus.len()
     }
@@ -453,16 +359,14 @@ impl HypervisorSched for DynFracScheduler {
             frozen: false,
             burn_from: SimTime::ZERO,
         });
-        let stats_id = self.stats.push_domain(n_vcpus, |_| VcpuStatsD::default());
+        let stats_id = self.stats.push_domain(n_vcpus, |_| VcpuStats::default());
         debug_assert_eq!((hot_id, stats_id), (id, id));
-        self.domains.push(DomD {
+        self.domains.push(PoolDomain::new(
             weight,
+            n_vcpus,
             cap_pcpus,
             reservation_pcpus,
-            consumed_extend: SimDuration::ZERO,
-            extend: ExtendInfo::initial(n_vcpus),
-            kicks_throttled: 0,
-        });
+        ));
         id
     }
 

@@ -178,40 +178,20 @@ impl EvtchnTable {
 // Checkpoint/restore
 // ---------------------------------------------------------------------------
 
-use sim_core::snap::{SnapReader, SnapWriter};
+// Each port's owner and kind are structural.
+sim_core::snap_struct!(Port {
+    bound_vcpu,
+    pending,
+    masked,
+    sent,
+    delivered,
+} skip { dom, kind });
 
-impl EvtchnTable {
-    /// Serializes routing and pending state. The port population and
-    /// each port's kind are structural; restore asserts the count.
-    pub fn save(&self, w: &mut SnapWriter) {
-        let EvtchnTable { ports, rebinds } = self;
-        w.section("evtchn");
-        w.seq(ports.iter(), |w, p| {
-            w.usize(p.bound_vcpu.index());
-            w.bool(p.pending);
-            w.bool(p.masked);
-            w.u64(p.sent);
-            w.u64(p.delivered);
-        });
-        w.u64(*rebinds);
-    }
-
-    /// Restores state written by [`EvtchnTable::save`] into a
-    /// structurally identical table.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) {
-        r.section("evtchn");
-        let vals = r.seq(|r| (VcpuId(r.usize()), r.bool(), r.bool(), r.u64(), r.u64()));
-        assert_eq!(vals.len(), self.ports.len(), "port count drifted");
-        for (p, (bound_vcpu, pending, masked, sent, delivered)) in self.ports.iter_mut().zip(vals) {
-            p.bound_vcpu = bound_vcpu;
-            p.pending = pending;
-            p.masked = masked;
-            p.sent = sent;
-            p.delivered = delivered;
-        }
-        self.rebinds = r.u64();
-    }
-}
+// Routing and pending state; the port population is structural.
+sim_core::snap_struct!(EvtchnTable "evtchn" {
+    ports: twin "port count drifted",
+    rebinds,
+});
 
 #[cfg(test)]
 mod tests {

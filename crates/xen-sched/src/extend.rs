@@ -39,7 +39,7 @@ pub struct ExtendParams {
 }
 
 /// Algorithm 1 output for one domain, published through the vScale channel.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct ExtendInfo {
     /// The domain's fair share `s_fair(t)` for the window.
     pub fair: SimDuration,
@@ -226,40 +226,15 @@ pub fn compute_extendability_into(
     }
 }
 
-impl ExtendInfo {
-    /// Serializes every field through the checkpoint codec.
-    pub fn save(&self, w: &mut sim_core::snap::SnapWriter) {
-        let ExtendInfo {
-            fair,
-            ext,
-            consumed,
-            n_opt,
-            competitor,
-            computed_at,
-            period,
-        } = self;
-        w.dur(*fair);
-        w.dur(*ext);
-        w.dur(*consumed);
-        w.usize(*n_opt);
-        w.bool(*competitor);
-        w.time(*computed_at);
-        w.dur(*period);
-    }
-
-    /// Reads an [`ExtendInfo`] written by [`ExtendInfo::save`].
-    pub fn load(r: &mut sim_core::snap::SnapReader<'_>) -> Self {
-        ExtendInfo {
-            fair: r.dur(),
-            ext: r.dur(),
-            consumed: r.dur(),
-            n_opt: r.usize(),
-            competitor: r.bool(),
-            computed_at: r.time(),
-            period: r.dur(),
-        }
-    }
-}
+sim_core::snap_struct!(ExtendInfo {
+    fair,
+    ext,
+    consumed,
+    n_opt,
+    competitor,
+    computed_at,
+    period,
+});
 
 #[cfg(test)]
 mod tests {
