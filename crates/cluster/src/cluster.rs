@@ -10,8 +10,10 @@
 //!    request injections into target hosts);
 //! 2. step all hosts to `epoch_end − 1 ns` — serially or fanned across
 //!    worker threads, hosts share nothing;
-//! 3. harvest replies and drops serially in host order;
+//! 3. harvest replies and drops serially, in one pass over the backends;
 //! 4. advance migrations and failure machinery, serially.
+//!
+//! Steps 1 and 3 cost O(backends + requests · log backends) per epoch.
 //!
 //! Determinism at any `VSCALE_THREADS`: the epoch length never exceeds
 //! the smallest link latency (asserted per host), so a message sent
@@ -188,10 +190,6 @@ pub struct Cluster {
     now: SimTime,
     hosts: Vec<HostSlot>,
     backends: Vec<BackendSlot>,
-    /// Per-backend in-flight counts (the LB's own dispatch ledger).
-    outstanding: Vec<u64>,
-    /// The LB's health view, maintained by the failure machinery.
-    health: Vec<Health>,
     /// True while the backend's VM is detached and on the wire.
     in_blackout: Vec<bool>,
     /// Deliveries that arrived during a blackout, re-sent at cutover or
@@ -221,8 +219,8 @@ pub struct Cluster {
     steps_skipped: u64,
     window: (SimTime, SimTime),
     sent: u64,
-    /// Scratch for harvest: (completion time, backend index).
-    harvest_buf: Vec<(SimTime, usize)>,
+    /// Scratch for harvest: (host, completion time, backend index).
+    harvest_buf: Vec<(usize, SimTime, usize)>,
     /// Scratch for sparse stepping: per-host due flags.
     due_buf: Vec<bool>,
 }
@@ -239,8 +237,6 @@ impl Cluster {
             now: SimTime::ZERO,
             hosts: Vec::new(),
             backends: Vec::new(),
-            outstanding: Vec::new(),
-            health: Vec::new(),
             in_blackout: Vec::new(),
             held: Vec::new(),
             parking: VecDeque::new(),
@@ -299,8 +295,7 @@ impl Cluster {
             stale: 0,
             skip: 0,
         });
-        self.outstanding.push(0);
-        self.health.push(Health::Healthy);
+        self.lb.add_backend();
         self.in_blackout.push(false);
         self.held.push(0);
         self.backends.len() - 1
@@ -355,7 +350,7 @@ impl Cluster {
 
     /// The LB's current view of a backend.
     pub fn backend_health(&self, backend: usize) -> Health {
-        self.health[backend]
+        self.lb.health(backend)
     }
 
     /// Which host a backend currently lives on (changes at cutover).
@@ -461,7 +456,7 @@ impl Cluster {
         assert!(host < self.hosts.len(), "unknown host {host}");
         if !in_service {
             let resident = self.backends.iter().enumerate().any(|(b, s)| {
-                s.spec.host == host && self.health[b] != Health::Down && !self.in_blackout[b]
+                s.spec.host == host && self.lb.health(b) != Health::Down && !self.in_blackout[b]
             });
             assert!(
                 !resident,
@@ -478,7 +473,7 @@ impl Cluster {
 
     /// The LB's in-flight count for one backend.
     pub fn backend_outstanding(&self, backend: usize) -> u64 {
-        self.outstanding[backend]
+        self.lb.outstanding(backend)
     }
 
     /// Host `step_to` calls skipped so far by sparse stepping.
@@ -588,7 +583,7 @@ impl Cluster {
     /// latency accounting across re-queues); parks it at the LB when
     /// nothing is routable.
     fn route(&mut self, send: SimTime, wire_at: SimTime) {
-        let Some(b) = self.lb.pick(&self.outstanding, &self.health) else {
+        let Some(b) = self.lb.pick() else {
             self.parking.push_back(send);
             return;
         };
@@ -598,17 +593,16 @@ impl Cluster {
             .schedule(deliver_at, NetMsg::Deliver { backend: b });
         self.backends[b].pending.push_back(send);
         self.backends[b].in_wheel += 1;
-        self.outstanding[b] += 1;
+        self.lb.dispatched(b);
     }
 
     /// Re-dispatches parked requests while any backend is healthy.
     fn flush_parking(&mut self) {
         let now = self.now;
-        while !self.parking.is_empty() {
-            if !self.health.contains(&Health::Healthy) {
+        while self.lb.any_healthy() {
+            let Some(send) = self.parking.pop_front() else {
                 return;
-            }
-            let send = self.parking.pop_front().expect("checked non-empty");
+            };
             self.route(send, now);
         }
     }
@@ -738,77 +732,74 @@ impl Cluster {
     /// frozen and skipped; detached (mid-cutover) backends carry their
     /// logs in the image and are skipped until they land; `skip`
     /// discards exactly the replayed/fenced cohort after a restore.
+    ///
+    /// One pass over the backends gathers every new completion, sorted
+    /// by (host, time, backend): each host's reply link serializes its
+    /// replies in completion-time order regardless of which VM sent
+    /// what. Drops then retire in backend order; a backend lives on one
+    /// host, so its completions still precede its drops.
     fn harvest(&mut self) {
-        for host_idx in 0..self.hosts.len() {
-            if !self.hosts[host_idx].up {
+        let mut buf = std::mem::take(&mut self.harvest_buf);
+        buf.clear();
+        for (bidx, b) in self.backends.iter_mut().enumerate() {
+            let host = b.spec.host;
+            if !self.hosts[host].up || self.in_blackout[bidx] {
                 continue;
             }
-            // Gather this host's new completions across its backends in
-            // completion-time order — its reply link serializes them in
-            // that order regardless of which VM sent what.
-            let mut buf = std::mem::take(&mut self.harvest_buf);
-            buf.clear();
-            for (bidx, b) in self.backends.iter_mut().enumerate() {
-                if b.spec.host != host_idx || self.in_blackout[bidx] {
-                    continue;
-                }
-                let (_, _, completions) = self.hosts[host_idx].machine.io_logs(b.spec.dom);
-                for &c in &completions[b.seen_completions..] {
-                    buf.push((c, bidx));
-                }
-                b.seen_completions = completions.len();
+            let (_, _, completions) = self.hosts[host].machine.io_logs(b.spec.dom);
+            for &c in &completions[b.seen_completions..] {
+                buf.push((host, c, bidx));
             }
-            buf.sort_unstable();
+            b.seen_completions = completions.len();
+        }
+        buf.sort_unstable();
+        for &(host_idx, c, bidx) in &buf {
+            let b = &mut self.backends[bidx];
+            if b.skip > 0 {
+                // Replay of already-accounted work (or a fenced
+                // zombie's reply): discard, don't double-serve.
+                b.skip -= 1;
+                continue;
+            }
+            let send = b
+                .pending
+                .pop_front()
+                .expect("reply without a pending request");
+            self.lb.retired(bidx);
             let host = &mut self.hosts[host_idx];
-            for &(c, bidx) in buf.iter() {
-                let b = &mut self.backends[bidx];
+            let reply_at = host.link.send_reply(c, b.spec.reply_bytes);
+            // The SLO-window accumulators see every completion — they
+            // are the controller's online sensor, not gated on the
+            // offline measurement window.
+            host.win_latency_us.record(reply_at.since(send).as_us());
+            host.win_completed += 1;
+            if send >= self.window.0 && send < self.window.1 {
+                host.latency_us.record(reply_at.since(send).as_us());
+                host.completed += 1;
+            }
+        }
+        self.harvest_buf = buf;
+        // Listen-queue overflows: retire dropped requests.
+        for (bidx, b) in self.backends.iter_mut().enumerate() {
+            let host = &mut self.hosts[b.spec.host];
+            if !host.up || self.in_blackout[bidx] {
+                continue;
+            }
+            let total = host.machine.guest(b.spec.dom).io_drops(b.spec.queue);
+            debug_assert!(total >= b.seen_drops, "drop counter rewound");
+            for _ in 0..total.saturating_sub(b.seen_drops) {
                 if b.skip > 0 {
-                    // Replay of already-accounted work (or a fenced
-                    // zombie's reply): discard, don't double-serve.
                     b.skip -= 1;
                     continue;
                 }
-                let send = b
-                    .pending
-                    .pop_front()
-                    .expect("reply without a pending request");
-                self.outstanding[bidx] -= 1;
-                let reply_at = host.link.send_reply(c, b.spec.reply_bytes);
-                // The SLO-window accumulators see every completion —
-                // they are the controller's online sensor, not gated on
-                // the offline measurement window.
-                host.win_latency_us.record(reply_at.since(send).as_us());
-                host.win_completed += 1;
+                let send = b.pending.pop_front().expect("drop without a request");
+                self.lb.retired(bidx);
+                host.win_drops += 1;
                 if send >= self.window.0 && send < self.window.1 {
-                    host.latency_us.record(reply_at.since(send).as_us());
-                    host.completed += 1;
+                    host.drops += 1;
                 }
             }
-            self.harvest_buf = buf;
-            // Listen-queue overflows: retire dropped requests.
-            for (bidx, b) in self.backends.iter_mut().enumerate() {
-                if b.spec.host != host_idx || self.in_blackout[bidx] {
-                    continue;
-                }
-                let total = self.hosts[host_idx]
-                    .machine
-                    .guest(b.spec.dom)
-                    .io_drops(b.spec.queue);
-                debug_assert!(total >= b.seen_drops, "drop counter rewound");
-                for _ in 0..total.saturating_sub(b.seen_drops) {
-                    if b.skip > 0 {
-                        b.skip -= 1;
-                        continue;
-                    }
-                    let send = b.pending.pop_front().expect("drop without a request");
-                    self.outstanding[bidx] -= 1;
-                    self.hosts[host_idx].win_drops += 1;
-                    if send >= self.window.0 && send < self.window.1 {
-                        self.hosts[host_idx].drops += 1;
-                    }
-                }
-                b.seen_drops = total;
-            }
+            b.seen_drops = total;
         }
     }
 
@@ -820,17 +811,17 @@ impl Cluster {
     /// what it holds but receives nothing new.
     pub fn drain_backend(&mut self, backend: usize) {
         assert_eq!(
-            self.health[backend],
+            self.lb.health(backend),
             Health::Healthy,
             "can only drain a healthy backend"
         );
-        self.health[backend] = Health::Draining;
+        self.lb.set_health(backend, Health::Draining);
     }
 
     /// Returns a drained backend to rotation.
     pub fn undrain_backend(&mut self, backend: usize) {
-        assert_eq!(self.health[backend], Health::Draining);
-        self.health[backend] = Health::Healthy;
+        assert_eq!(self.lb.health(backend), Health::Draining);
+        self.lb.set_health(backend, Health::Healthy);
         self.flush_parking();
     }
 
@@ -844,7 +835,7 @@ impl Cluster {
             "cannot fail a backend mid-cutover"
         );
         assert_ne!(
-            self.health[backend],
+            self.lb.health(backend),
             Health::Down,
             "backend {backend} already down"
         );
@@ -853,7 +844,6 @@ impl Cluster {
             self.hosts[spec.host].up,
             "host-level failure is crash_host's job"
         );
-        self.health[backend] = Health::Down;
         // Everything injected but unaccounted will still be completed or
         // dropped by the zombie; fence that entire cohort.
         let arrivals = {
@@ -862,9 +852,17 @@ impl Cluster {
         };
         let slot = &mut self.backends[backend];
         slot.skip += arrivals - slot.seen_completions as u64 - slot.seen_drops;
+        self.requeue_backend(backend);
+    }
+
+    /// Takes `backend` out of rotation and re-dispatches its in-flight
+    /// requests exactly once; its deliveries still on the wire go stale.
+    fn requeue_backend(&mut self, backend: usize) {
+        self.lb.set_health(backend, Health::Down);
+        self.lb.clear(backend);
+        let slot = &mut self.backends[backend];
         slot.stale += slot.in_wheel;
         let pending: Vec<SimTime> = slot.pending.drain(..).collect();
-        self.outstanding[backend] = 0;
         self.robustness.requests_requeued += pending.len() as u64;
         let now = self.now;
         for send in pending {
@@ -888,19 +886,10 @@ impl Cluster {
             if self.backends[bidx].spec.host != host || self.in_blackout[bidx] {
                 continue;
             }
-            self.health[bidx] = Health::Down;
-            let slot = &mut self.backends[bidx];
-            slot.stale += slot.in_wheel;
             // The frozen machine produces nothing until a restore, which
             // recomputes the replay fence from the restored state.
-            slot.skip = 0;
-            let pending: Vec<SimTime> = slot.pending.drain(..).collect();
-            self.outstanding[bidx] = 0;
-            self.robustness.requests_requeued += pending.len() as u64;
-            let now = self.now;
-            for send in pending {
-                self.route(send, now);
-            }
+            self.backends[bidx].skip = 0;
+            self.requeue_backend(bidx);
         }
     }
 
@@ -972,7 +961,7 @@ impl Cluster {
             slot.seen_completions = completed;
             slot.seen_drops = dropped;
             slot.skip = arrived - completed as u64 - dropped + wheel;
-            self.health[bidx] = Health::Healthy;
+            self.lb.set_health(bidx, Health::Healthy);
         }
         self.flush_parking();
     }
@@ -1000,7 +989,7 @@ impl Cluster {
         evacuation: bool,
     ) -> bool {
         assert_eq!(
-            self.health[backend],
+            self.lb.health(backend),
             Health::Healthy,
             "can only migrate a healthy backend"
         );
@@ -1073,7 +1062,7 @@ impl Cluster {
         );
         let mut started = 0;
         for b in 0..self.backends.len() {
-            if self.backends[b].spec.host != host || self.health[b] != Health::Healthy {
+            if self.backends[b].spec.host != host || self.lb.health(b) != Health::Healthy {
                 continue;
             }
             if self.migrations.iter().any(|j| j.backend == b) {
@@ -1093,21 +1082,18 @@ impl Cluster {
     /// minimizes (resident in-flight requests, inbound migrations, host
     /// index) over up, in-service hosts ≠ `src` that hold a free spare.
     fn pick_landing_host(&self, src: usize) -> Option<usize> {
+        let mut resident = vec![0u64; self.hosts.len()];
+        for (b, s) in self.backends.iter().enumerate() {
+            resident[s.spec.host] += self.lb.outstanding(b);
+        }
         let mut best: Option<(u64, usize, usize)> = None;
-        for h in 0..self.hosts.len() {
+        for (h, &outstanding) in resident.iter().enumerate() {
             if h == src || !self.hosts[h].up || !self.hosts[h].in_service {
                 continue;
             }
             if !self.spares.iter().any(|&(sh, _)| sh == h) {
                 continue;
             }
-            let outstanding: u64 = self
-                .backends
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.spec.host == h)
-                .map(|(b, _)| self.outstanding[b])
-                .sum();
             let inbound = self.migrations.iter().filter(|j| j.dst_host == h).count();
             let key = (outstanding, inbound, h);
             if best.is_none_or(|k| key < k) {
@@ -1205,7 +1191,7 @@ impl Cluster {
         let spec = self.backends[job.backend].spec;
         let image = self.hosts[spec.host].machine.extract_vm(spec.dom);
         self.hosts[spec.host].topology += 1;
-        self.health[job.backend] = Health::Draining;
+        self.lb.set_health(job.backend, Health::Draining);
         self.in_blackout[job.backend] = true;
         let (arrive_at, lost) = job.transfer(now, dirty + CONTROL_BYTES);
         job.phase = MigPhase::Blackout {
@@ -1243,7 +1229,7 @@ impl Cluster {
                     .install_vm(self.backends[b].spec.dom, &image);
                 self.hosts[src].topology += 1;
                 self.in_blackout[b] = false;
-                self.health[b] = Health::Healthy;
+                self.lb.set_health(b, Health::Healthy);
                 self.release_held(b);
                 if dst_up {
                     self.spares.push((job.dst_host, job.dst_dom));
@@ -1256,20 +1242,10 @@ impl Cluster {
                 // failed: no live copy remains. The requests must still
                 // be accounted — re-queue everything exactly once.
                 self.in_blackout[b] = false;
-                self.health[b] = Health::Down;
                 self.held[b] = 0;
-                {
-                    let slot = &mut self.backends[b];
-                    slot.stale += slot.in_wheel;
-                    slot.skip = 0;
-                }
-                let pending: Vec<SimTime> = self.backends[b].pending.drain(..).collect();
-                self.outstanding[b] = 0;
+                self.backends[b].skip = 0;
                 self.robustness.migrations_aborted += 1;
-                self.robustness.requests_requeued += pending.len() as u64;
-                for send in pending {
-                    self.route(send, now);
-                }
+                self.requeue_backend(b);
             }
         } else {
             // Cutover: the destination twin absorbs the image (its idle
@@ -1288,7 +1264,7 @@ impl Cluster {
             self.backends[b].spec.host = job.dst_host;
             self.backends[b].spec.dom = job.dst_dom;
             self.in_blackout[b] = false;
-            self.health[b] = Health::Healthy;
+            self.lb.set_health(b, Health::Healthy);
             self.release_held(b);
             self.robustness.migrations_ok += 1;
             if job.evacuation {

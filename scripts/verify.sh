@@ -10,6 +10,7 @@
 #   ./scripts/verify.sh attack_grid          # just the adversarial-grid gate
 #   ./scripts/verify.sh elastic              # just the autoscaler interplay gate
 #   ./scripts/verify.sh machine_bench        # just the throughput floor gate
+#   ./scripts/verify.sh perf_digests         # just the benchmark output digests
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -133,12 +134,31 @@ machine_bench_gate() {
     done
 }
 
+# The simulator benchmark (perf/) folds each workload's simulated
+# outputs into one FNV-1a digest. One episode of each at seed 3 must
+# reproduce the digest pinned in scripts/perf_digests.txt, so a change
+# meant only to make the simulator faster moves no output byte.
+perf_digest_gate() {
+    echo "== perf digests: every benchmark workload must match its pinned digest =="
+    local workload want got
+    while read -r workload want; do
+        got="$(bash perf/run.sh --workload "$workload" --seed 3 --seconds 0 --trace 0 \
+            < /dev/null | sed -n 's/^digest //p')"
+        if [ "$got" != "$want" ]; then
+            echo "perf $workload drifted from scripts/perf_digests.txt: want $want got $got" >&2
+            exit 1
+        fi
+        echo "   $workload digest OK ($got)"
+    done < scripts/perf_digests.txt
+}
+
 case "${1:-all}" in
     differential_smoke) differential_smoke; exit 0 ;;
     backend_grid) backend_grid_gate; exit 0 ;;
     attack_grid) attack_grid_gate; exit 0 ;;
     elastic) elastic_gate; exit 0 ;;
     machine_bench) machine_bench_gate; exit 0 ;;
+    perf_digests) perf_digest_gate; exit 0 ;;
     all) ;;
     *) echo "unknown verify target: $1" >&2; exit 2 ;;
 esac
@@ -195,4 +215,5 @@ differential_smoke
 backend_grid_gate
 attack_grid_gate
 machine_bench_gate
+perf_digest_gate
 echo "== verify: OK =="
