@@ -15,13 +15,21 @@
 //! refactor that perturbs scheduling behavior — a reordered fold, a
 //! dropped field, an index mix-up — moves a checksum.
 //!
+//! A second table, [`GOLDEN_ATTACK`], pins attack-shaped streams
+//! (`adversarial_scenario_gen`) under the kick-throttle defense, folding
+//! each domain's kick-throttle count and extendability after every op,
+//! and closes every trajectory with a live-migration round trip: each
+//! domain's `export_domain` payload is folded, imported into a fresh pool
+//! of the same topology, and the twin's state folded before and after one
+//! slice expiry on every pCPU (which reads the carried credit).
+//!
 //! To re-bless after an *intentional* behavior change, run with
 //! `VSCALE_BLESS=1 cargo test -q layout -- --nocapture` and copy the
-//! printed table.
+//! printed tables.
 
 use sim_core::ids::{DomId, GlobalVcpu, PcpuId, VcpuId};
 use sim_core::time::{SimDuration, SimTime};
-use testkit::differential::{scenario_gen, Op, Scenario};
+use testkit::differential::{adversarial_scenario_gen, scenario_gen, Op, Scenario};
 use testkit::source::Source;
 use xen_sched::credit::{CreditConfig, SchedEvent, VcpuState};
 use xen_sched::credit2::Credit2Scheduler;
@@ -105,21 +113,53 @@ fn fold_state<S: HypervisorSched>(h: &mut Fnv, s: &S, vcpus: &[GlobalVcpu]) {
     }
 }
 
-/// Replays `scenario` with the same op normalization as
-/// `testkit::differential::replay` and folds the full observable
-/// trajectory into one checksum.
-fn trajectory_checksum<S: HypervisorSched>(scenario: &Scenario) -> u64 {
+/// Folds every domain's kick-throttle count and Algorithm 1 snapshot.
+fn fold_domains<S: HypervisorSched>(h: &mut Fnv, s: &S, n_domains: usize) {
+    for d in (0..n_domains).map(DomId) {
+        h.u64(s.kicks_throttled(d));
+        let info = s.extendability(d);
+        h.u64(info.fair.as_ns());
+        h.u64(info.ext.as_ns());
+        h.u64(info.consumed.as_ns());
+        h.u64(info.n_opt as u64);
+        h.u64(u64::from(info.competitor));
+        h.u64(info.computed_at.as_ns());
+        h.u64(info.period.as_ns());
+    }
+}
+
+/// The scenario's vCPUs in `(domain, vcpu)` order.
+fn vcpu_list(scenario: &Scenario) -> Vec<GlobalVcpu> {
     let mut vcpus = Vec::new();
     for (d, &(_, nv)) in scenario.domains.iter().enumerate() {
         for v in 0..nv {
             vcpus.push(GlobalVcpu::new(DomId(d), VcpuId(v)));
         }
     }
-    let mut s = S::new_pool(CreditConfig::default(), scenario.n_pcpus);
+    vcpus
+}
+
+/// A pool of `scenario`'s topology under `cfg`.
+fn build<S: HypervisorSched>(cfg: &CreditConfig, scenario: &Scenario) -> S {
+    let mut s = S::new_pool(cfg.clone(), scenario.n_pcpus);
     for &(weight, nv) in &scenario.domains {
         s.create_domain(weight, nv, None, None);
     }
-    let mut h = Fnv::new();
+    s
+}
+
+/// Replays `scenario` with the same op normalization as
+/// `testkit::differential::replay`, folding the full observable
+/// trajectory into `h`; `per_op` folds extra state after every op.
+/// Returns the pool and the instant of the last op.
+fn replay_folded<S: HypervisorSched>(
+    cfg: &CreditConfig,
+    scenario: &Scenario,
+    h: &mut Fnv,
+    per_op: impl Fn(&mut Fnv, &S),
+) -> (S, SimTime) {
+    let vcpus = vcpu_list(scenario);
+    let mut s = build::<S>(cfg, scenario);
     let mut now = SimTime::ZERO;
     let mut events = Vec::new();
     for (i, &op) in scenario.ops.iter().enumerate() {
@@ -152,9 +192,6 @@ fn trajectory_checksum<S: HypervisorSched>(scenario: &Scenario) -> u64 {
                 s.set_frozen(gv(v), false);
                 s.vcpu_wake(gv(v), now, &mut events);
             }
-            // Attack-shaped ops: never emitted by `scenario_gen` (the
-            // goldens predate them) but normalized identically to
-            // `testkit::differential::replay` for completeness.
             Op::SelfWake(v) => {
                 if !s.is_frozen(gv(v)) {
                     s.vcpu_block(gv(v), now, &mut events);
@@ -188,17 +225,66 @@ fn trajectory_checksum<S: HypervisorSched>(scenario: &Scenario) -> u64 {
         }
         h.u64(i as u64);
         for e in &events {
-            fold_event(&mut h, e);
+            fold_event(h, e);
         }
-        fold_state(&mut h, &s, &vcpus);
+        fold_state(h, &s, &vcpus);
         for d in 0..scenario.domains.len() {
             h.u64(s.domain_run_total(DomId(d)).as_ns());
             h.u64(s.domain_wait_total(DomId(d)).as_ns());
         }
+        per_op(h, &s);
     }
     h.u64(s.total_run_ns());
     h.u64(s.migrations());
     h.u64(s.extend_version());
+    (s, now)
+}
+
+/// Checksum of the default-config trajectory of `scenario` (the
+/// [`GOLDEN`] fold).
+fn trajectory_checksum<S: HypervisorSched>(scenario: &Scenario) -> u64 {
+    let mut h = Fnv::new();
+    replay_folded::<S>(&CreditConfig::default(), scenario, &mut h, |_, _| {});
+    h.0
+}
+
+/// Checksum of the kick-throttled attack trajectory of `scenario` plus
+/// its export/import round trip (the [`GOLDEN_ATTACK`] fold).
+fn migrated_checksum<S: HypervisorSched>(scenario: &Scenario) -> u64 {
+    let cfg = CreditConfig {
+        kick_throttle: true,
+        ..CreditConfig::default()
+    };
+    let n_domains = scenario.domains.len();
+    let mut h = Fnv::new();
+    let (s, mut now) =
+        replay_folded::<S>(&cfg, scenario, &mut h, |h, s| fold_domains(h, s, n_domains));
+    let vcpus = vcpu_list(scenario);
+    let mut twin = build::<S>(&cfg, scenario);
+    let mut events = Vec::new();
+    for d in (0..n_domains).map(DomId) {
+        let export = s.export_domain(d);
+        for x in &export.vcpus {
+            h.u64(u64::from(x.frozen));
+            h.u64(u64::from(x.runnable));
+            h.u64(x.credit as u64);
+        }
+        twin.import_domain(d, &export, now, &mut events);
+    }
+    for e in &events {
+        fold_event(&mut h, e);
+    }
+    fold_state(&mut h, &twin, &vcpus);
+    now += OP_STEP;
+    events.clear();
+    for p in (0..scenario.n_pcpus).map(PcpuId) {
+        twin.slice_expired(p, now, &mut events);
+    }
+    for e in &events {
+        fold_event(&mut h, e);
+    }
+    fold_state(&mut h, &twin, &vcpus);
+    fold_domains(&mut h, &twin, n_domains);
     h.0
 }
 
@@ -230,6 +316,44 @@ fn soa_layout_preserves_scheduler_trajectories() {
             (c, c2, df),
             (credit, credit2, dynfrac),
             "trajectory diverged from the pre-SoA layout for seed {seed} \
+             ({} ops, {} pcpus, {:?} domains)",
+            scenario.ops.len(),
+            scenario.n_pcpus,
+            scenario.domains,
+        );
+    }
+    assert!(!bless, "bless mode prints checksums instead of asserting");
+}
+
+/// Seeds → `(credit, credit2, dynfrac)` checksums of kick-throttled
+/// attack trajectories closed by an export/import round trip, captured
+/// before the credit2 and dynfrac backends shared one pool.
+#[rustfmt::skip]
+const GOLDEN_ATTACK: [(u64, u64, u64, u64); 5] = [
+    (3, 0x72bb9c2f6e4b9280, 0x408fdebe7283b081, 0x49f5c72989f101a0),
+    (7, 0x6efcc4ff385d3d77, 0xe9d35cd6b4233aa1, 0x66685b765bdcc48c),
+    (25, 0x5707f3a045b672fd, 0x5814e8f2fcf9cec0, 0x4782b6f0db2aadc0),
+    (50, 0x8770d3c16b75f6ea, 0x2acfdc104abd17b1, 0xd7a90013779b5f5d),
+    (68, 0x1df26a8813e41e7c, 0xd03c12b3660773bc, 0x173e1abc47504af4),
+];
+
+#[test]
+fn attack_streams_and_migration_round_trips_are_pinned() {
+    let gen = adversarial_scenario_gen(60);
+    let bless = std::env::var("VSCALE_BLESS").is_ok();
+    for &(seed, credit, credit2, dynfrac) in &GOLDEN_ATTACK {
+        let scenario = gen.run(&mut Source::random(seed));
+        let c = migrated_checksum::<CreditScheduler>(&scenario);
+        let c2 = migrated_checksum::<Credit2Scheduler>(&scenario);
+        let df = migrated_checksum::<DynFracScheduler>(&scenario);
+        if bless {
+            println!("    ({seed}, {c:#018x}, {c2:#018x}, {df:#018x}),");
+            continue;
+        }
+        assert_eq!(
+            (c, c2, df),
+            (credit, credit2, dynfrac),
+            "attack trajectory or migration round trip diverged for seed {seed} \
              ({} ops, {} pcpus, {:?} domains)",
             scenario.ops.len(),
             scenario.n_pcpus,
