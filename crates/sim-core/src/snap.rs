@@ -364,6 +364,14 @@ snap_prim!(
     SimDuration => dur,
 );
 
+/// The unit writes nothing, so a generic slot a user does not need
+/// costs no image bytes.
+impl Snap for () {
+    fn save(&self, _: &mut SnapWriter) {}
+
+    fn load(&mut self, _: &mut SnapReader<'_>) {}
+}
+
 impl<T: Snap + Default> Snap for Option<T> {
     fn save(&self, w: &mut SnapWriter) {
         w.bool(self.is_some());
@@ -470,6 +478,9 @@ impl<T: Snap> Snap for VcpuMap<T> {
 /// Fields are written in list order, after the optional section tag.
 /// `skip` names the structural fields restore keeps from the twin.
 /// A tuple struct lists a binding per position: `snap_struct!(Id(i));`.
+/// A struct with one type parameter names it with its bound, and may take
+/// its section tag from a constant path: `snap_struct!(Pool<P: Policy>
+/// P::NAME { .. });`.
 ///
 /// Both directions destructure the struct exhaustively, so adding a
 /// field without listing or skipping it is a build error:
@@ -533,25 +544,43 @@ macro_rules! snap_struct {
         }
     };
     (
-        $ty:ident $($tag:literal)? {
-            $($f:ident $(: $mode:ident $what:literal)?),* $(,)?
-        } $(skip { $($skip:ident),* $(,)? })?
+        @impl [$($gen:tt)*] $ty:ident [$($arg:tt)*] [$($tag:tt)?] {
+            $($f:ident $(: $mode:ident $what:literal)?),*
+        } [$($skip:ident),*]
     ) => {
-        impl $crate::snap::Snap for $ty {
+        impl<$($gen)*> $crate::snap::Snap for $ty<$($arg)*> {
             #[allow(unused_variables)]
             fn save(&self, w: &mut $crate::snap::SnapWriter) {
-                let $ty { $($f,)* $($($skip: _,)*)? } = self;
+                let $ty { $($f,)* $($skip: _,)* } = self;
                 $(w.section($tag);)?
                 $($crate::snap_struct!(@save w $f $($mode $what)?);)*
             }
 
             #[allow(unused_variables)]
             fn load(&mut self, r: &mut $crate::snap::SnapReader<'_>) {
-                let $ty { $($f,)* $($($skip: _,)*)? } = self;
+                let $ty { $($f,)* $($skip: _,)* } = self;
                 $(r.section($tag);)?
                 $($crate::snap_struct!(@load r $f $($mode $what)?);)*
             }
         }
+    };
+    (
+        $ty:ident $($tag:literal)? {
+            $($f:ident $(: $mode:ident $what:literal)?),* $(,)?
+        } $(skip { $($skip:ident),* $(,)? })?
+    ) => {
+        $crate::snap_struct!(@impl [] $ty [] [$($tag)?] {
+            $($f $(: $mode $what)?),*
+        } [$($($skip),*)?]);
+    };
+    (
+        $ty:ident < $p:ident : $bound:path > $($tag:path)? {
+            $($f:ident $(: $mode:ident $what:literal)?),* $(,)?
+        } $(skip { $($skip:ident),* $(,)? })?
+    ) => {
+        $crate::snap_struct!(@impl [$p: $bound] $ty [$p] [$($tag)?] {
+            $($f $(: $mode $what)?),*
+        } [$($($skip),*)?]);
     };
 }
 
@@ -688,6 +717,39 @@ mod tests {
         let mut none = Some(4u64);
         none.load(&mut r);
         assert_eq!(none, None);
+        assert!(r.exhausted());
+    }
+
+    trait Named: Snap {
+        const NAME: &'static str;
+    }
+    impl Named for () {
+        const NAME: &'static str = "unit";
+    }
+    impl Named for u64 {
+        const NAME: &'static str = "word";
+    }
+
+    struct Generic<T: Named> {
+        value: T,
+        n: u32,
+    }
+    crate::snap_struct!(Generic<T: Named> T::NAME { value, n });
+
+    #[test]
+    fn generic_structs_take_their_tag_from_the_parameter() {
+        let mut w = SnapWriter::new();
+        Generic { value: (), n: 3 }.save(&mut w);
+        Generic { value: 9u64, n: 4 }.save(&mut w);
+        let img = w.finish();
+        // Header, tag + u32 (the unit writes nothing), tag + u64 + u32.
+        assert_eq!(img.len(), 8 + 4 + 4 + 4 + 8 + 4);
+        let mut r = SnapReader::open(&img).expect("header");
+        let mut unit = Generic { value: (), n: 0 };
+        unit.load(&mut r);
+        let mut word = Generic { value: 0u64, n: 0 };
+        word.load(&mut r);
+        assert_eq!((unit.n, word.value, word.n), (3, 9, 4));
         assert!(r.exhausted());
     }
 

@@ -46,7 +46,7 @@
 use sim_core::ids::{DomId, GlobalVcpu, PcpuId, VcpuId};
 use sim_core::time::{SimDuration, SimTime};
 use xen_sched::credit::{CreditConfig, SchedEvent, VcpuState};
-use xen_sched::HypervisorSched;
+use xen_sched::{DomSchedExport, HypervisorSched};
 
 use crate::gen::{one_of, tuple2, u8_in, usize_in, vec_of, Gen};
 use crate::runner::{find_minimal, Config, Counterexample};
@@ -425,8 +425,9 @@ pub fn minimize_pair_adversarial<A: HypervisorSched, B: HypervisorSched>(
     })
 }
 
-/// A deliberately broken backend: a [`CreditScheduler`] whose
-/// `vcpu_block` *ignores* blocks of frozen vCPUs — the classic vScale
+/// A deliberately broken backend: a
+/// [`CreditScheduler`](xen_sched::CreditScheduler) whose `vcpu_block`
+/// *ignores* blocks of frozen vCPUs — the classic vScale
 /// implementation bug where the hypervisor-side accounting half of
 /// Algorithm 2 lands but the guest-side block is lost, so a frozen vCPU
 /// keeps holding its pCPU.
@@ -543,6 +544,18 @@ impl HypervisorSched for BrokenFreezeScheduler {
     }
     fn extend_version(&self) -> u64 {
         self.0.extend_version()
+    }
+    fn export_domain(&self, dom: DomId) -> DomSchedExport {
+        self.0.export_domain(dom)
+    }
+    fn import_domain(
+        &mut self,
+        dom: DomId,
+        export: &DomSchedExport,
+        now: SimTime,
+        events: &mut Vec<SchedEvent>,
+    ) {
+        self.0.import_domain(dom, export, now, events)
     }
 }
 

@@ -10,7 +10,7 @@
 //!   `one_of` for enums), deterministic shrinking on failure, and a
 //!   [`runner::run_prop`] entry point close enough to `proptest!` that
 //!   porting a property is mechanical.
-//! - [`bench`] — a mini benchmark runner: warmup, batched timed
+//! - [`mod@bench`] — a mini benchmark runner: warmup, batched timed
 //!   iterations, mean/p50/p99 via `sim-core::stats`, and table + JSON
 //!   output honoring `VSCALE_BENCH_SCALE`.
 //! - [`parallel`] — a `std::thread`-scoped seed-sweep runner

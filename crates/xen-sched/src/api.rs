@@ -3,21 +3,27 @@
 //! vScale (EuroSys'16) is evaluated against Xen's credit scheduler only,
 //! but nothing in the design — Algorithm 1's extendability computation,
 //! the per-VM channel, the guest-side balancer — is credit-specific. This
-//! trait extracts the exact surface the embedding machine
+//! trait is the exact surface the embedding machine
 //! (`vscale::machine::Machine`), the vScale channel, and the differential
-//! test harness consume from [`CreditScheduler`], so alternative policies
-//! can slot in behind the same event-driven contract:
+//! test harness consume, so alternative policies slot in behind the same
+//! event-driven contract:
 //!
 //! - [`crate::credit::CreditScheduler`] — the paper's baseline: Xen's
 //!   proportional-share credit scheduler with the §4.2 freeze-aware
 //!   accounting modification. The reference backend; golden traces in
-//!   `tests/determinism.rs` pin it byte-for-byte.
+//!   `tests/determinism.rs` pin it byte-for-byte. It keeps its own vCPU
+//!   record (priority band, cap parking) and dispatch.
 //! - [`crate::credit2::Credit2Scheduler`] — a Credit2-style policy:
-//!   per-pCPU runqueues ordered by credit, epoch-based bulk credit
-//!   resets, and periodic load-balancing migration.
+//!   per-pCPU runqueues ordered by credit, credit resets when the picked
+//!   vCPU is out of credit, and periodic load-balancing migration.
 //! - [`crate::dynfrac::DynFracScheduler`] — a dynamic-fractional policy
 //!   (à la Casanova et al.'s DFRS): continuous CPU shares recomputed
-//!   every accounting epoch, with vruntime-ordered pick-next.
+//!   every accounting epoch, with the minimum virtual time picked from one
+//!   global queue.
+//!
+//! The last two are one [`crate::pool::Pool`] under two
+//! [`crate::pool::Policy`] implementations: the pool implements this
+//! trait once and the policies supply only what differs.
 //!
 //! # The driving contract
 //!
@@ -52,7 +58,7 @@ use sim_core::time::{SimDuration, SimTime};
 
 use sim_core::snap::Snap;
 
-use crate::credit::{CreditConfig, CreditScheduler, SchedEvent, VcpuState};
+use crate::credit::{CreditConfig, SchedEvent, VcpuState};
 use crate::extend::ExtendInfo;
 
 /// Per-vCPU scheduler state that travels with a live migration.
@@ -212,7 +218,10 @@ pub trait HypervisorSched: Snap {
     fn extendability(&self, dom: DomId) -> ExtendInfo;
 
     /// Publication version of the extendability snapshots (seqlock
-    /// analogue; bumps on every [`HypervisorSched::on_extend_tick`]).
+    /// analogue; bumps on every [`HypervisorSched::on_extend_tick`] that
+    /// republishes). A reader holding snapshot version `v` knows a serve
+    /// is stale when `v < extend_version()` yet the serve repeats version
+    /// `v`'s fields.
     fn extend_version(&self) -> u64;
 
     /// Kick-path evictions suppressed by the kick-throttle defense
@@ -223,23 +232,10 @@ pub trait HypervisorSched: Snap {
         0
     }
 
-    /// Extracts the migration payload for `dom`. The default is built
-    /// from the public surface and carries no credit; credit-bearing
-    /// backends override it.
-    fn export_domain(&self, dom: DomId) -> DomSchedExport {
-        DomSchedExport {
-            vcpus: (0..self.n_vcpus(dom))
-                .map(|v| {
-                    let gv = GlobalVcpu::new(dom, VcpuId(v));
-                    VcpuSchedExport {
-                        frozen: self.is_frozen(gv),
-                        runnable: !matches!(self.vcpu_state(gv), VcpuState::Blocked { .. }),
-                        credit: 0,
-                    }
-                })
-                .collect(),
-        }
-    }
+    /// Extracts the migration payload for `dom`: per vCPU, the freeze
+    /// flag, whether it had runnable work, and its credit balance (zero
+    /// for a backend without one).
+    fn export_domain(&self, dom: DomId) -> DomSchedExport;
 
     /// Blocks every vCPU of `dom` and freezes it out of the pool — the
     /// source side of a migration cutover, or a crashed VM. Routed
@@ -256,184 +252,22 @@ pub trait HypervisorSched: Snap {
     }
 
     /// Installs a payload from [`HypervisorSched::export_domain`] into
-    /// `dom` — a freshly created, fully blocked twin — waking the vCPUs
-    /// that had runnable work. Wake precedes the freeze-flag restore
-    /// because a frozen vCPU keeps running until the guest blocks it.
+    /// `dom` — a freshly created, fully blocked twin — restoring credit
+    /// balances and waking the vCPUs that had runnable work. Wake precedes
+    /// the freeze-flag restore because a frozen vCPU keeps running until
+    /// the guest blocks it.
     fn import_domain(
         &mut self,
         dom: DomId,
         export: &DomSchedExport,
         now: SimTime,
         events: &mut Vec<SchedEvent>,
-    ) {
-        assert_eq!(
-            export.vcpus.len(),
-            self.n_vcpus(dom),
-            "vCPU count mismatch on import"
-        );
-        for (v, x) in export.vcpus.iter().enumerate() {
-            let gv = GlobalVcpu::new(dom, VcpuId(v));
-            if x.runnable && matches!(self.vcpu_state(gv), VcpuState::Blocked { .. }) {
-                self.vcpu_wake(gv, now, events);
-            }
-            self.set_frozen(gv, x.frozen);
-        }
-    }
+    );
 
     /// Wakes every vCPU of `dom` (guest boot / failsafe unfreeze).
     fn wake_domain(&mut self, dom: DomId, now: SimTime, events: &mut Vec<SchedEvent>) {
         for v in 0..self.n_vcpus(dom) {
             self.vcpu_wake(GlobalVcpu::new(dom, VcpuId(v)), now, events);
         }
-    }
-}
-
-impl HypervisorSched for CreditScheduler {
-    fn new_pool(config: CreditConfig, n_pcpus: usize) -> Self {
-        CreditScheduler::new(config, n_pcpus)
-    }
-
-    fn backend_name() -> &'static str {
-        "credit"
-    }
-
-    fn export_domain(&self, dom: DomId) -> DomSchedExport {
-        self.export_domain_state(dom)
-    }
-
-    fn import_domain(
-        &mut self,
-        dom: DomId,
-        export: &DomSchedExport,
-        now: SimTime,
-        events: &mut Vec<SchedEvent>,
-    ) {
-        self.import_domain_state(dom, export, now, events);
-    }
-
-    fn n_pcpus(&self) -> usize {
-        CreditScheduler::n_pcpus(self)
-    }
-
-    fn n_domains(&self) -> usize {
-        CreditScheduler::n_domains(self)
-    }
-
-    fn create_domain(
-        &mut self,
-        weight: u32,
-        n_vcpus: usize,
-        cap_pcpus: Option<f64>,
-        reservation_pcpus: Option<f64>,
-    ) -> DomId {
-        CreditScheduler::create_domain(self, weight, n_vcpus, cap_pcpus, reservation_pcpus)
-    }
-
-    fn n_vcpus(&self, dom: DomId) -> usize {
-        CreditScheduler::n_vcpus(self, dom)
-    }
-
-    fn on_tick(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
-        CreditScheduler::on_tick(self, pcpu, now, events)
-    }
-
-    fn on_acct(&mut self, now: SimTime, events: &mut Vec<SchedEvent>) {
-        CreditScheduler::on_acct(self, now, events)
-    }
-
-    fn on_extend_tick(&mut self, now: SimTime) {
-        CreditScheduler::on_extend_tick(self, now)
-    }
-
-    fn slice_expired(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
-        CreditScheduler::slice_expired(self, pcpu, now, events)
-    }
-
-    fn vcpu_wake(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        CreditScheduler::vcpu_wake(self, gv, now, events)
-    }
-
-    fn vcpu_block(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        CreditScheduler::vcpu_block(self, gv, now, events)
-    }
-
-    fn vcpu_yield(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        CreditScheduler::vcpu_yield(self, gv, now, events)
-    }
-
-    fn kick_vcpu(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        CreditScheduler::kick_vcpu(self, gv, now, events)
-    }
-
-    fn set_frozen(&mut self, gv: GlobalVcpu, frozen: bool) {
-        CreditScheduler::set_frozen(self, gv, frozen)
-    }
-
-    fn is_frozen(&self, gv: GlobalVcpu) -> bool {
-        CreditScheduler::is_frozen(self, gv)
-    }
-
-    fn running_on(&self, pcpu: PcpuId) -> Option<GlobalVcpu> {
-        CreditScheduler::running_on(self, pcpu)
-    }
-
-    fn where_running(&self, gv: GlobalVcpu) -> Option<PcpuId> {
-        CreditScheduler::where_running(self, gv)
-    }
-
-    fn vcpu_state(&self, gv: GlobalVcpu) -> VcpuState {
-        CreditScheduler::vcpu_state(self, gv)
-    }
-
-    fn pcpu_gen(&self, pcpu: PcpuId) -> u64 {
-        CreditScheduler::pcpu_gen(self, pcpu)
-    }
-
-    fn domain_wait_total(&self, dom: DomId) -> SimDuration {
-        CreditScheduler::domain_wait_total(self, dom)
-    }
-
-    fn domain_run_total(&self, dom: DomId) -> SimDuration {
-        CreditScheduler::domain_run_total(self, dom)
-    }
-
-    fn vcpu_wait_total(&self, gv: GlobalVcpu) -> SimDuration {
-        CreditScheduler::vcpu_wait_total(self, gv)
-    }
-
-    fn vcpu_run_total(&self, gv: GlobalVcpu) -> SimDuration {
-        CreditScheduler::vcpu_run_total(self, gv)
-    }
-
-    fn total_run_ns(&self) -> u64 {
-        CreditScheduler::total_run_ns(self)
-    }
-
-    fn migrations(&self) -> u64 {
-        CreditScheduler::migrations(self)
-    }
-
-    fn switches(&self, pcpu: PcpuId) -> u64 {
-        CreditScheduler::switches(self, pcpu)
-    }
-
-    fn scheduled_count(&self, gv: GlobalVcpu) -> u64 {
-        CreditScheduler::scheduled_count(self, gv)
-    }
-
-    fn extendability(&self, dom: DomId) -> ExtendInfo {
-        CreditScheduler::extendability(self, dom)
-    }
-
-    fn extend_version(&self) -> u64 {
-        CreditScheduler::extend_version(self)
-    }
-
-    fn kicks_throttled(&self, dom: DomId) -> u64 {
-        CreditScheduler::kicks_throttled(self, dom)
-    }
-
-    fn wake_domain(&mut self, dom: DomId, now: SimTime, events: &mut Vec<SchedEvent>) {
-        CreditScheduler::wake_domain(self, dom, now, events)
     }
 }

@@ -434,6 +434,7 @@ sim_core::snap_struct!(VscaleChannel "vchan" {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::HypervisorSched;
     use crate::credit::{CreditConfig, CreditScheduler};
     use sim_core::ids::{GlobalVcpu, VcpuId};
     use sim_core::time::SimTime;

@@ -36,7 +36,9 @@ use sim_core::ids::{DomId, GlobalVcpu, PcpuId, VcpuId};
 use sim_core::soa::VcpuMap;
 use sim_core::time::{SimDuration, SimTime};
 
-use crate::extend::{ExtendInfo, ExtendParams};
+use crate::api::{DomSchedExport, HypervisorSched, VcpuSchedExport};
+use crate::extend::{ExtendInfo, ExtendWindow};
+use crate::pool::{Domain, Pcpu, VcpuStats};
 
 /// Scheduling priority of a runnable vCPU, ordered from most to least urgent.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -213,124 +215,12 @@ sim_core::snap_struct!(Vcpu {
     burn_from,
 });
 
-/// Cold per-vCPU lifetime statistics, split off the hot state so the
-/// dispatch path never pages them in (they are touched only at placement
-/// and deschedule boundaries, and by metric readers). Shared by every
-/// backend.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct VcpuStats {
-    /// Accumulated runnable-but-not-running time (Figure 9 metric).
-    pub(crate) wait_total: SimDuration,
-    /// Accumulated run time over the vCPU's lifetime.
-    pub(crate) run_total: SimDuration,
-    /// Number of times this vCPU was placed on a pCPU.
-    pub(crate) scheduled_count: u64,
-}
+/// A pCPU's run queues: one FIFO per priority level.
+type Bands = [VecDeque<GlobalVcpu>; PRIO_COUNT];
 
-sim_core::snap_struct!(VcpuStats {
-    wait_total,
-    run_total,
-    scheduled_count,
-});
-
-/// Per-domain scheduler bookkeeping (per-vCPU state lives in the
-/// scheduler-level [`VcpuMap`]s, not here).
-#[derive(Clone, Debug)]
-struct Domain {
-    weight: u32,
-    /// Optional upper bound on consumption, in pCPUs (Xen `cap` / 100).
-    cap_pcpus: Option<f64>,
-    /// Optional lower bound used when clamping extendability, in pCPUs.
-    reservation_pcpus: Option<f64>,
-    /// Consumption within the current accounting window (activity test).
-    consumed_acct: SimDuration,
-    /// Consumption within the current extendability window (Algorithm 1
-    /// input `s_i(t)`).
-    consumed_extend: SimDuration,
-    /// Latest Algorithm 1 output, readable through the vScale channel.
-    extend: ExtendInfo,
-    /// Kick-path evictions suppressed by the kick-throttle defense on
-    /// behalf of this domain's vCPUs (defense-activity counter).
-    kicks_throttled: u64,
-}
-
-sim_core::snap_struct!(Domain {
-    weight,
-    cap_pcpus,
-    reservation_pcpus,
-    consumed_acct,
-    consumed_extend,
-    extend,
-    kicks_throttled,
-});
-
-/// Per-domain bookkeeping of the backends without an accounting window
-/// (credit2, dynfrac): the credit [`Domain`] minus `consumed_acct`.
-#[derive(Clone, Debug)]
-pub(crate) struct PoolDomain {
-    pub(crate) weight: u32,
-    pub(crate) cap_pcpus: Option<f64>,
-    pub(crate) reservation_pcpus: Option<f64>,
-    pub(crate) consumed_extend: SimDuration,
-    pub(crate) extend: ExtendInfo,
-    /// Kick-path evictions suppressed by the kick-throttle defense.
-    pub(crate) kicks_throttled: u64,
-}
-
-impl PoolDomain {
-    /// A fresh domain record with `n_vcpus` vCPUs.
-    pub(crate) fn new(
-        weight: u32,
-        n_vcpus: usize,
-        cap_pcpus: Option<f64>,
-        reservation_pcpus: Option<f64>,
-    ) -> Self {
-        PoolDomain {
-            weight,
-            cap_pcpus,
-            reservation_pcpus,
-            consumed_extend: SimDuration::ZERO,
-            extend: ExtendInfo::initial(n_vcpus),
-            kicks_throttled: 0,
-        }
-    }
-}
-
-sim_core::snap_struct!(PoolDomain {
-    weight,
-    cap_pcpus,
-    reservation_pcpus,
-    consumed_extend,
-    extend,
-    kicks_throttled,
-});
-
-/// Per-pCPU run queues and the currently running vCPU.
-#[derive(Clone, Debug, Default)]
-struct Pcpu {
-    /// One FIFO queue per priority level.
-    queues: [VecDeque<GlobalVcpu>; PRIO_COUNT],
-    current: Option<GlobalVcpu>,
-    /// When the current vCPU was placed (ratelimit + slice bookkeeping).
-    run_since: SimTime,
-    /// Monotonic generation, bumped on every assignment change; lets the
-    /// machine invalidate stale slice-end events.
-    gen: u64,
-    /// Context switches performed on this pCPU.
-    switches: u64,
-}
-
-sim_core::snap_struct!(Pcpu {
-    queues,
-    current,
-    run_since,
-    gen,
-    switches,
-});
-
-impl Pcpu {
+impl Pcpu<Bands> {
     fn queued_len(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.queue.iter().map(VecDeque::len).sum()
     }
 }
 
@@ -343,16 +233,14 @@ impl Pcpu {
 /// owns its lifecycle.
 pub struct CreditScheduler {
     config: CreditConfig,
-    pcpus: Vec<Pcpu>,
-    domains: Vec<Domain>,
+    pcpus: Vec<Pcpu<Bands>>,
+    domains: Vec<Domain<SimDuration>>,
     /// Tick-hot per-vCPU state, dense in `(domain, vcpu)` order.
     hot: VcpuMap<Vcpu>,
     /// Cold per-vCPU lifetime stats, parallel to `hot`.
     stats: VcpuMap<VcpuStats>,
-    /// Start of the current extendability window.
-    extend_window_start: SimTime,
-    /// Seqlock-style version of the published extendability snapshots.
-    extend_version: u64,
+    /// Algorithm 1's window and published-snapshot version.
+    extend: ExtendWindow,
     /// Number of vCPU migrations across pCPUs (stealing).
     migrations: u64,
     /// Machine-wide run time in ns, maintained in `burn` so the
@@ -365,10 +253,6 @@ pub struct CreditScheduler {
     unpark_buf: Vec<GlobalVcpu>,
     /// Scratch for the per-domain activity flags of the accounting pass.
     active_buf: Vec<bool>,
-    /// Scratch for [`CreditScheduler::on_extend_tick`] Algorithm 1 inputs.
-    params_buf: Vec<ExtendParams>,
-    /// Scratch for Algorithm 1 outputs (the last per-tick allocation).
-    infos_buf: Vec<ExtendInfo>,
 }
 
 // The configuration and the pCPU/domain/vCPU populations are structural:
@@ -378,11 +262,10 @@ sim_core::snap_struct!(CreditScheduler "credit" {
     domains: twin "domain count drifted",
     hot,
     stats,
-    extend_window_start,
-    extend_version,
+    extend,
     migrations,
     total_run_ns,
-} skip { config, park_buf, unpark_buf, active_buf, params_buf, infos_buf });
+} skip { config, park_buf, unpark_buf, active_buf });
 
 impl CreditScheduler {
     /// Creates a scheduler managing `n_pcpus` physical CPUs.
@@ -394,72 +277,31 @@ impl CreditScheduler {
             domains: Vec::new(),
             hot: VcpuMap::new(),
             stats: VcpuMap::new(),
-            extend_window_start: SimTime::ZERO,
-            extend_version: 0,
+            extend: ExtendWindow::default(),
             migrations: 0,
             total_run_ns: 0,
             park_buf: Vec::new(),
             unpark_buf: Vec::new(),
             active_buf: Vec::new(),
-            params_buf: Vec::new(),
-            infos_buf: Vec::new(),
         }
     }
 
-    /// The scheduler configuration.
-    pub fn config(&self) -> &CreditConfig {
-        &self.config
-    }
+    // `perf/` reads these three through `Machine::hv()` without importing
+    // `HypervisorSched`, so they stay inherent as well as in the trait.
 
     /// Number of pCPUs in the pool.
     pub fn n_pcpus(&self) -> usize {
         self.pcpus.len()
     }
 
-    /// Number of domains created so far.
-    pub fn n_domains(&self) -> usize {
-        self.domains.len()
+    /// Number of vCPU cross-pCPU migrations (steals) performed.
+    pub fn migrations(&self) -> u64 {
+        self.migrations
     }
 
-    /// Creates a domain with `n_vcpus` vCPUs and proportional-share `weight`.
-    ///
-    /// All vCPUs start [`VcpuState::Blocked`]; the machine wakes them as the
-    /// guest boots them. `cap_pcpus` / `reservation_pcpus` bound the
-    /// domain's extendability (in units of whole pCPUs).
-    pub fn create_domain(
-        &mut self,
-        weight: u32,
-        n_vcpus: usize,
-        cap_pcpus: Option<f64>,
-        reservation_pcpus: Option<f64>,
-    ) -> DomId {
-        assert!(weight > 0, "domain weight must be positive");
-        assert!(n_vcpus > 0, "a domain needs at least one vCPU");
-        let id = DomId(self.domains.len());
-        let n_pcpus = self.pcpus.len();
-        let hot_id = self.hot.push_domain(n_vcpus, |v| Vcpu {
-            state: VcpuState::Blocked {
-                since: SimTime::ZERO,
-            },
-            prio: Prio::Under,
-            credits_ns: 0,
-            last_pcpu: PcpuId(v.index() % n_pcpus),
-            frozen: false,
-            parked: false,
-            burn_from: SimTime::ZERO,
-        });
-        let stats_id = self.stats.push_domain(n_vcpus, |_| VcpuStats::default());
-        debug_assert_eq!((hot_id, stats_id), (id, id));
-        self.domains.push(Domain {
-            weight,
-            cap_pcpus,
-            reservation_pcpus,
-            consumed_acct: SimDuration::ZERO,
-            consumed_extend: SimDuration::ZERO,
-            extend: ExtendInfo::initial(n_vcpus),
-            kicks_throttled: 0,
-        });
-        id
+    /// Context switches performed on `pcpu`.
+    pub fn switches(&self, pcpu: PcpuId) -> u64 {
+        self.pcpus[pcpu.index()].switches
     }
 
     #[inline]
@@ -477,89 +319,19 @@ impl CreditScheduler {
         self.hot.domain(dom).iter().filter(|v| !v.frozen).count()
     }
 
-    /// The vCPU currently running on `pcpu`, if any.
-    pub fn running_on(&self, pcpu: PcpuId) -> Option<GlobalVcpu> {
-        self.pcpus[pcpu.index()].current
-    }
-
-    /// The pCPU `gv` currently runs on, if it is running.
-    pub fn where_running(&self, gv: GlobalVcpu) -> Option<PcpuId> {
-        match self.vcpu(gv).state {
-            VcpuState::Running { pcpu, .. } => Some(pcpu),
-            _ => None,
-        }
-    }
-
-    /// The state of a vCPU.
-    pub fn vcpu_state(&self, gv: GlobalVcpu) -> VcpuState {
-        self.vcpu(gv).state
-    }
-
     /// The current priority of a vCPU.
     pub fn vcpu_prio(&self, gv: GlobalVcpu) -> Prio {
         self.vcpu(gv).prio
     }
 
-    /// Whether the guest has frozen this vCPU.
-    pub fn is_frozen(&self, gv: GlobalVcpu) -> bool {
-        self.vcpu(gv).frozen
+    /// Whether `gv` is parked by cap enforcement.
+    pub fn is_parked(&self, gv: GlobalVcpu) -> bool {
+        self.vcpu(gv).parked
     }
 
-    /// Total time `gv` has spent waiting runnable in run queues.
-    pub fn vcpu_wait_total(&self, gv: GlobalVcpu) -> SimDuration {
-        self.stats[gv].wait_total
-    }
-
-    /// Total time `gv` has spent running on pCPUs.
-    pub fn vcpu_run_total(&self, gv: GlobalVcpu) -> SimDuration {
-        self.stats[gv].run_total
-    }
-
-    /// Sum of waiting time across all vCPUs of `dom` (Figure 9 metric).
-    pub fn domain_wait_total(&self, dom: DomId) -> SimDuration {
-        self.stats
-            .domain(dom)
-            .iter()
-            .fold(SimDuration::ZERO, |acc, v| acc.saturating_add(v.wait_total))
-    }
-
-    /// Sum of run time across all vCPUs of `dom`.
-    pub fn domain_run_total(&self, dom: DomId) -> SimDuration {
-        self.stats
-            .domain(dom)
-            .iter()
-            .fold(SimDuration::ZERO, |acc, v| acc.saturating_add(v.run_total))
-    }
-
-    /// Number of vCPUs of `dom`.
-    pub fn n_vcpus(&self, dom: DomId) -> usize {
-        self.hot.n_vcpus(dom)
-    }
-
-    /// Machine-wide run time aggregate in nanoseconds (O(1) read; see
-    /// the `total_run_ns` field).
-    pub fn total_run_ns(&self) -> u64 {
-        self.total_run_ns
-    }
-
-    /// Number of vCPU cross-pCPU migrations (steals) performed.
-    pub fn migrations(&self) -> u64 {
-        self.migrations
-    }
-
-    /// Context switches performed on `pcpu`.
-    pub fn switches(&self, pcpu: PcpuId) -> u64 {
-        self.pcpus[pcpu.index()].switches
-    }
-
-    /// The assignment generation of `pcpu` (bumps on every change).
-    pub fn pcpu_gen(&self, pcpu: PcpuId) -> u64 {
-        self.pcpus[pcpu.index()].gen
-    }
-
-    /// When the vCPU currently on `pcpu` was placed there.
-    pub fn run_since(&self, pcpu: PcpuId) -> SimTime {
-        self.pcpus[pcpu.index()].run_since
+    /// Signed credit balance of `gv`, in nanoseconds (test/inspection hook).
+    pub fn credits_ns(&self, gv: GlobalVcpu) -> i64 {
+        self.vcpu(gv).credits_ns
     }
 
     // ------------------------------------------------------------------
@@ -594,10 +366,259 @@ impl CreditScheduler {
         self.total_run_ns += ran.as_ns();
     }
 
+    fn best_waiting_prio(&self, pcpu: PcpuId) -> usize {
+        for (i, q) in self.pcpus[pcpu.index()].queue.iter().enumerate() {
+            if !q.is_empty() {
+                return i;
+            }
+        }
+        PRIO_COUNT
+    }
+
+    /// Parks a vCPU (cap exceeded): it leaves its pCPU/queue and will not
+    /// be scheduled until unparked.
+    fn park(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
+        self.vcpu_mut(gv).parked = true;
+        match self.vcpu(gv).state {
+            VcpuState::Running { pcpu, .. } => {
+                self.deschedule_current(pcpu, now, false, events);
+                self.vcpu_mut(gv).state = VcpuState::Blocked { since: now };
+                self.reschedule(pcpu, now, events);
+            }
+            VcpuState::Runnable { .. } => {
+                self.remove_from_queue(gv, now);
+                self.vcpu_mut(gv).state = VcpuState::Blocked { since: now };
+            }
+            VcpuState::Blocked { .. } => {}
+        }
+    }
+
+    /// Unparks a vCPU when the cap budget refills; the embedding machine
+    /// revalidates whether the guest actually has work for it.
+    fn unpark(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
+        self.vcpu_mut(gv).parked = false;
+        self.vcpu_wake(gv, now, events);
+    }
+
+    // ------------------------------------------------------------------
+    // State transitions.
+    // ------------------------------------------------------------------
+
+    fn enqueue(&mut self, gv: GlobalVcpu, pcpu: PcpuId, now: SimTime) {
+        let prio = self.vcpu(gv).prio;
+        self.vcpu_mut(gv).state = VcpuState::Runnable { pcpu, since: now };
+        self.pcpus[pcpu.index()].queue[prio as usize].push_back(gv);
+    }
+
+    /// Places `gv` on `pcpu` as the running vCPU. Caller must have cleared
+    /// `pcpu.current`.
+    fn place(&mut self, gv: GlobalVcpu, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
+        debug_assert!(self.pcpus[pcpu.index()].current.is_none());
+        // Account the waiting span that ends now.
+        if let VcpuState::Runnable { since, .. } = self.vcpu(gv).state {
+            let waited = now.since(since);
+            self.stats[gv].wait_total += waited;
+        }
+        {
+            let v = self.vcpu_mut(gv);
+            v.state = VcpuState::Running { pcpu, since: now };
+            v.last_pcpu = pcpu;
+            v.burn_from = now;
+        }
+        self.stats[gv].scheduled_count += 1;
+        let p = &mut self.pcpus[pcpu.index()];
+        p.current = Some(gv);
+        p.run_since = now;
+        p.gen += 1;
+        p.switches += 1;
+        events.push(SchedEvent::Run { pcpu, vcpu: gv });
+    }
+
+    /// Removes the running vCPU from `pcpu` (burning its credits), leaving
+    /// the pCPU empty. If `requeue`, the vCPU goes to the tail of its
+    /// priority queue on the same pCPU; otherwise the caller sets its state.
+    fn deschedule_current(
+        &mut self,
+        pcpu: PcpuId,
+        now: SimTime,
+        requeue: bool,
+        events: &mut Vec<SchedEvent>,
+    ) -> Option<GlobalVcpu> {
+        let gv = self.pcpus[pcpu.index()].current?;
+        self.burn(pcpu, now);
+        let p = &mut self.pcpus[pcpu.index()];
+        p.current = None;
+        p.gen += 1;
+        events.push(SchedEvent::Desched { pcpu, vcpu: gv });
+        if requeue {
+            self.enqueue(gv, pcpu, now);
+        }
+        Some(gv)
+    }
+
+    /// Picks the next vCPU for `pcpu`: local queues first (BOOST, UNDER),
+    /// then stealing from peers, then local OVER, then stolen OVER, then
+    /// idle. Emits the resulting [`SchedEvent`]s.
+    fn reschedule(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
+        debug_assert!(self.pcpus[pcpu.index()].current.is_none());
+        // Local BOOST/UNDER.
+        for prio in [Prio::Boost, Prio::Under] {
+            if let Some(gv) = self.pcpus[pcpu.index()].queue[prio as usize].pop_front() {
+                self.place(gv, pcpu, now, events);
+                return;
+            }
+        }
+        // Steal BOOST/UNDER from the busiest peers (work conservation).
+        for prio in [Prio::Boost, Prio::Under] {
+            if let Some(gv) = self.steal(pcpu, prio) {
+                self.migrations += 1;
+                self.place(gv, pcpu, now, events);
+                return;
+            }
+        }
+        // Local OVER.
+        if let Some(gv) = self.pcpus[pcpu.index()].queue[Prio::Over as usize].pop_front() {
+            self.place(gv, pcpu, now, events);
+            return;
+        }
+        // Stolen OVER.
+        if let Some(gv) = self.steal(pcpu, Prio::Over) {
+            self.migrations += 1;
+            self.place(gv, pcpu, now, events);
+            return;
+        }
+        events.push(SchedEvent::Idle { pcpu });
+    }
+
+    /// Takes one `prio` vCPU from the peer with the longest queue.
+    fn steal(&mut self, thief: PcpuId, prio: Prio) -> Option<GlobalVcpu> {
+        let victim = self
+            .pcpus
+            .iter()
+            .enumerate()
+            .filter(|&(i, p)| i != thief.index() && !p.queue[prio as usize].is_empty())
+            .max_by_key(|&(_, p)| p.queued_len())
+            .map(|(i, _)| PcpuId(i))?;
+        let gv = self.pcpus[victim.index()].queue[prio as usize].pop_front()?;
+        // Keep its `Runnable.since` so the waiting span stays contiguous.
+        if let VcpuState::Runnable { since, .. } = self.vcpu(gv).state {
+            self.vcpu_mut(gv).state = VcpuState::Runnable { pcpu: thief, since };
+        }
+        Some(gv)
+    }
+
+    fn remove_from_queue(&mut self, gv: GlobalVcpu, now: SimTime) {
+        if let VcpuState::Runnable { pcpu, since } = self.vcpu(gv).state {
+            for queue in self.pcpus[pcpu.index()].queue.iter_mut() {
+                if let Some(pos) = queue.iter().position(|&x| x == gv) {
+                    queue.remove(pos);
+                    break;
+                }
+            }
+            let waited = now.since(since);
+            self.stats[gv].wait_total += waited;
+        }
+    }
+
+    fn idle_pcpu(&self) -> Option<PcpuId> {
+        self.pcpus
+            .iter()
+            .position(|p| p.current.is_none() && p.queued_len() == 0)
+            .map(PcpuId)
+    }
+
+    /// Preempts `pcpu`'s current vCPU if a strictly higher-priority vCPU
+    /// waits in its queue and the ratelimit allows it; also fills an idle
+    /// pCPU. `cause` is the vCPU whose arrival prompted the check — under
+    /// the kick-throttle defense its domain is charged for BOOST
+    /// evictions deferred beyond the ratelimit.
+    fn maybe_preempt(
+        &mut self,
+        pcpu: PcpuId,
+        now: SimTime,
+        events: &mut Vec<SchedEvent>,
+        cause: GlobalVcpu,
+    ) {
+        match self.pcpus[pcpu.index()].current {
+            None => self.reschedule(pcpu, now, events),
+            Some(cur) => {
+                let cur_prio = self.vcpu(cur).prio as usize;
+                let best = self.best_waiting_prio(pcpu);
+                let ran = now.since(self.pcpus[pcpu.index()].run_since);
+                if best >= cur_prio || ran < self.config.ratelimit {
+                    return;
+                }
+                // Kick-throttle defense: BOOST arrivals evict only an
+                // occupant that has run KICK_THROTTLE_FACTOR× the
+                // ratelimit, bounding wake-storm preemption farming.
+                if self.config.kick_throttle
+                    && best == Prio::Boost as usize
+                    && ran < self.config.ratelimit * KICK_THROTTLE_FACTOR
+                {
+                    self.domains[cause.dom.index()].kicks_throttled += 1;
+                    return;
+                }
+                self.deschedule_current(pcpu, now, true, events);
+                self.reschedule(pcpu, now, events);
+            }
+        }
+    }
+}
+
+impl HypervisorSched for CreditScheduler {
+    fn new_pool(config: CreditConfig, n_pcpus: usize) -> Self {
+        CreditScheduler::new(config, n_pcpus)
+    }
+
+    fn backend_name() -> &'static str {
+        "credit"
+    }
+
+    fn n_pcpus(&self) -> usize {
+        self.pcpus.len()
+    }
+
+    fn n_domains(&self) -> usize {
+        self.domains.len()
+    }
+
+    fn create_domain(
+        &mut self,
+        weight: u32,
+        n_vcpus: usize,
+        cap_pcpus: Option<f64>,
+        reservation_pcpus: Option<f64>,
+    ) -> DomId {
+        assert!(weight > 0, "domain weight must be positive");
+        assert!(n_vcpus > 0, "a domain needs at least one vCPU");
+        let id = DomId(self.domains.len());
+        let n_pcpus = self.pcpus.len();
+        let hot_id = self.hot.push_domain(n_vcpus, |v| Vcpu {
+            state: VcpuState::Blocked {
+                since: SimTime::ZERO,
+            },
+            prio: Prio::Under,
+            credits_ns: 0,
+            last_pcpu: PcpuId(v.index() % n_pcpus),
+            frozen: false,
+            parked: false,
+            burn_from: SimTime::ZERO,
+        });
+        let stats_id = self.stats.push_domain(n_vcpus, |_| VcpuStats::default());
+        debug_assert_eq!((hot_id, stats_id), (id, id));
+        self.domains
+            .push(Domain::new(weight, n_vcpus, cap_pcpus, reservation_pcpus));
+        id
+    }
+
+    fn n_vcpus(&self, dom: DomId) -> usize {
+        self.hot.n_vcpus(dom)
+    }
+
     /// Per-pCPU tick (every [`CreditConfig::tick`]): burn credits, demote
     /// BOOST, and preempt if a higher-priority vCPU is waiting. Resulting
     /// assignment changes are appended to `events`.
-    pub fn on_tick(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
+    fn on_tick(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
         self.burn(pcpu, now);
         let tick_ns = self.config.tick.as_ns() as i64;
         let sampled = self.config.sampled_burn;
@@ -638,15 +659,6 @@ impl CreditScheduler {
         }
     }
 
-    fn best_waiting_prio(&self, pcpu: PcpuId) -> usize {
-        for (i, q) in self.pcpus[pcpu.index()].queues.iter().enumerate() {
-            if !q.is_empty() {
-                return i;
-            }
-        }
-        PRIO_COUNT
-    }
-
     /// The 30 ms accounting pass (`csched_acct`): distributes one period's
     /// machine capacity to active domains by weight, splits each domain's
     /// share across its active (non-frozen) vCPUs, clips balances, and
@@ -654,7 +666,7 @@ impl CreditScheduler {
     /// budget has its vCPUs *parked* (Xen's `CSCHED_FLAG_VCPU_PARKED`)
     /// until the next pass; caps are the one deliberately
     /// non-work-conserving knob. Assignment changes go to `events`.
-    pub fn on_acct(&mut self, now: SimTime, events: &mut Vec<SchedEvent>) {
+    fn on_acct(&mut self, now: SimTime, events: &mut Vec<SchedEvent>) {
         // Burn everyone up to `now` first so consumption is current.
         for p in 0..self.pcpus.len() {
             self.burn(PcpuId(p), now);
@@ -739,231 +751,23 @@ impl CreditScheduler {
         self.active_buf = active;
     }
 
-    /// Parks a vCPU (cap exceeded): it leaves its pCPU/queue and will not
-    /// be scheduled until unparked.
-    fn park(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        self.vcpu_mut(gv).parked = true;
-        match self.vcpu(gv).state {
-            VcpuState::Running { pcpu, .. } => {
-                self.deschedule_current(pcpu, now, false, events);
-                self.vcpu_mut(gv).state = VcpuState::Blocked { since: now };
-                self.reschedule(pcpu, now, events);
-            }
-            VcpuState::Runnable { .. } => {
-                self.remove_from_queue(gv, now);
-                self.vcpu_mut(gv).state = VcpuState::Blocked { since: now };
-            }
-            VcpuState::Blocked { .. } => {}
-        }
-    }
-
-    /// Unparks a vCPU when the cap budget refills; the embedding machine
-    /// revalidates whether the guest actually has work for it.
-    fn unpark(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        self.vcpu_mut(gv).parked = false;
-        self.vcpu_wake(gv, now, events);
-    }
-
-    /// Whether `gv` is parked by cap enforcement.
-    pub fn is_parked(&self, gv: GlobalVcpu) -> bool {
-        self.vcpu(gv).parked
-    }
-
-    // ------------------------------------------------------------------
-    // vScale extendability ticker (Algorithm 1 driver).
-    // ------------------------------------------------------------------
-
     /// The vScale ticker (`vscale_ticker_fn`): recomputes every SMP
     /// domain's CPU extendability from consumption over the window since
     /// the previous call. Runs on the pool master every
     /// [`CreditConfig::extend_period`].
-    pub fn on_extend_tick(&mut self, now: SimTime) {
+    fn on_extend_tick(&mut self, now: SimTime) {
         for p in 0..self.pcpus.len() {
             self.burn(PcpuId(p), now);
         }
-        let window = now.since(self.extend_window_start);
-        self.extend_window_start = now;
-        if window.is_zero() {
-            return;
-        }
-        let mut params = std::mem::take(&mut self.params_buf);
-        let mut infos = std::mem::take(&mut self.infos_buf);
-        params.clear();
-        params.extend(self.domains.iter().enumerate().map(|(di, d)| ExtendParams {
-            weight: d.weight,
-            consumed: d.consumed_extend,
-            cap_pcpus: d.cap_pcpus,
-            reservation_pcpus: d.reservation_pcpus,
-            n_vcpus: self.hot.n_vcpus(DomId(di)),
-        }));
-        crate::extend::compute_extendability_into(
-            &params,
-            self.pcpus.len(),
-            window,
-            now,
-            &mut infos,
-        );
-        self.params_buf = params;
-        for (d, info) in self.domains.iter_mut().zip(&infos) {
-            d.consumed_extend = SimDuration::ZERO;
-            d.extend = *info;
-        }
-        self.infos_buf = infos;
-        // Seqlock-style publication counter: readers compare the version
-        // they consumed against this to detect stale serves, and a torn
-        // serve (fields mixed across versions) fails snapshot validation.
-        self.extend_version += 1;
+        self.extend
+            .tick(now, self.pcpus.len(), &mut self.domains, &self.hot);
     }
 
-    /// Reads a domain's latest extendability (the `SCHEDOP_getvscaleinfo`
-    /// hypercall payload).
-    pub fn extendability(&self, dom: DomId) -> ExtendInfo {
-        self.domains[dom.index()].extend
-    }
-
-    /// The publication version of the current extendability snapshots:
-    /// bumped once per [`CreditScheduler::on_extend_tick`] that republishes.
-    /// A reader holding snapshot version `v` knows a serve is stale when
-    /// `v < extend_version()` yet the serve repeats version `v`'s fields.
-    pub fn extend_version(&self) -> u64 {
-        self.extend_version
-    }
-
-    // ------------------------------------------------------------------
-    // State transitions.
-    // ------------------------------------------------------------------
-
-    fn enqueue(&mut self, gv: GlobalVcpu, pcpu: PcpuId, now: SimTime) {
-        let prio = self.vcpu(gv).prio;
-        self.vcpu_mut(gv).state = VcpuState::Runnable { pcpu, since: now };
-        self.pcpus[pcpu.index()].queues[prio as usize].push_back(gv);
-    }
-
-    /// Places `gv` on `pcpu` as the running vCPU. Caller must have cleared
-    /// `pcpu.current`.
-    fn place(&mut self, gv: GlobalVcpu, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
-        debug_assert!(self.pcpus[pcpu.index()].current.is_none());
-        // Account the waiting span that ends now.
-        if let VcpuState::Runnable { since, .. } = self.vcpu(gv).state {
-            let waited = now.since(since);
-            self.stats[gv].wait_total += waited;
-        }
-        {
-            let v = self.vcpu_mut(gv);
-            v.state = VcpuState::Running { pcpu, since: now };
-            v.last_pcpu = pcpu;
-            v.burn_from = now;
-        }
-        self.stats[gv].scheduled_count += 1;
-        let p = &mut self.pcpus[pcpu.index()];
-        p.current = Some(gv);
-        p.run_since = now;
-        p.gen += 1;
-        p.switches += 1;
-        events.push(SchedEvent::Run { pcpu, vcpu: gv });
-    }
-
-    /// Removes the running vCPU from `pcpu` (burning its credits), leaving
-    /// the pCPU empty. If `requeue`, the vCPU goes to the tail of its
-    /// priority queue on the same pCPU; otherwise the caller sets its state.
-    fn deschedule_current(
-        &mut self,
-        pcpu: PcpuId,
-        now: SimTime,
-        requeue: bool,
-        events: &mut Vec<SchedEvent>,
-    ) -> Option<GlobalVcpu> {
-        let gv = self.pcpus[pcpu.index()].current?;
-        self.burn(pcpu, now);
-        let p = &mut self.pcpus[pcpu.index()];
-        p.current = None;
-        p.gen += 1;
-        events.push(SchedEvent::Desched { pcpu, vcpu: gv });
-        if requeue {
-            self.enqueue(gv, pcpu, now);
-        }
-        Some(gv)
-    }
-
-    /// Picks the next vCPU for `pcpu`: local queues first (BOOST, UNDER),
-    /// then stealing from peers, then local OVER, then stolen OVER, then
-    /// idle. Emits the resulting [`SchedEvent`]s.
-    fn reschedule(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
-        debug_assert!(self.pcpus[pcpu.index()].current.is_none());
-        // Local BOOST/UNDER.
-        for prio in [Prio::Boost, Prio::Under] {
-            if let Some(gv) = self.pcpus[pcpu.index()].queues[prio as usize].pop_front() {
-                self.place(gv, pcpu, now, events);
-                return;
-            }
-        }
-        // Steal BOOST/UNDER from the busiest peers (work conservation).
-        for prio in [Prio::Boost, Prio::Under] {
-            if let Some(gv) = self.steal(pcpu, prio) {
-                self.migrations += 1;
-                self.place(gv, pcpu, now, events);
-                return;
-            }
-        }
-        // Local OVER.
-        if let Some(gv) = self.pcpus[pcpu.index()].queues[Prio::Over as usize].pop_front() {
-            self.place(gv, pcpu, now, events);
-            return;
-        }
-        // Stolen OVER.
-        if let Some(gv) = self.steal(pcpu, Prio::Over) {
-            self.migrations += 1;
-            self.place(gv, pcpu, now, events);
-            return;
-        }
-        events.push(SchedEvent::Idle { pcpu });
-    }
-
-    /// Takes one `prio` vCPU from the peer with the longest queue.
-    fn steal(&mut self, thief: PcpuId, prio: Prio) -> Option<GlobalVcpu> {
-        let victim = self
-            .pcpus
-            .iter()
-            .enumerate()
-            .filter(|&(i, p)| i != thief.index() && !p.queues[prio as usize].is_empty())
-            .max_by_key(|&(_, p)| p.queued_len())
-            .map(|(i, _)| PcpuId(i))?;
-        let gv = self.pcpus[victim.index()].queues[prio as usize].pop_front()?;
-        // Keep its `Runnable.since` so the waiting span stays contiguous.
-        if let VcpuState::Runnable { since, .. } = self.vcpu(gv).state {
-            self.vcpu_mut(gv).state = VcpuState::Runnable { pcpu: thief, since };
-        }
-        Some(gv)
-    }
-
-    /// A vCPU blocks voluntarily (guest idle / HLT / `SCHEDOP_poll`).
-    /// Assignment changes are appended to `events`.
-    pub fn vcpu_block(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        match self.vcpu(gv).state {
-            VcpuState::Running { pcpu, .. } => {
-                self.deschedule_current(pcpu, now, false, events);
-                self.vcpu_mut(gv).state = VcpuState::Blocked { since: now };
-                self.reschedule(pcpu, now, events);
-            }
-            VcpuState::Runnable { .. } => {
-                // Raced: it was preempted and now blocks from the queue.
-                self.remove_from_queue(gv, now);
-                self.vcpu_mut(gv).state = VcpuState::Blocked { since: now };
-            }
-            VcpuState::Blocked { .. } => {}
-        }
-    }
-
-    fn remove_from_queue(&mut self, gv: GlobalVcpu, now: SimTime) {
-        if let VcpuState::Runnable { pcpu, since } = self.vcpu(gv).state {
-            for queue in self.pcpus[pcpu.index()].queues.iter_mut() {
-                if let Some(pos) = queue.iter().position(|&x| x == gv) {
-                    queue.remove(pos);
-                    break;
-                }
-            }
-            let waited = now.since(since);
-            self.stats[gv].wait_total += waited;
+    /// End of the 30 ms quantum on `pcpu`: round-robin to the next vCPU.
+    fn slice_expired(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
+        if self.pcpus[pcpu.index()].current.is_some() {
+            self.deschedule_current(pcpu, now, true, events);
+            self.reschedule(pcpu, now, events);
         }
     }
 
@@ -972,7 +776,7 @@ impl CreditScheduler {
     /// An UNDER vCPU is promoted to BOOST (if enabled) so it reaches a pCPU
     /// quickly; it may preempt the current occupant of its home pCPU if that
     /// occupant has run at least the ratelimit and has lower priority.
-    pub fn vcpu_wake(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
+    fn vcpu_wake(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
         if !matches!(self.vcpu(gv).state, VcpuState::Blocked { .. }) {
             return;
         }
@@ -990,82 +794,38 @@ impl CreditScheduler {
         self.maybe_preempt(target, now, events, gv);
     }
 
-    fn idle_pcpu(&self) -> Option<PcpuId> {
-        self.pcpus
-            .iter()
-            .position(|p| p.current.is_none() && p.queued_len() == 0)
-            .map(PcpuId)
-    }
-
-    /// Preempts `pcpu`'s current vCPU if a strictly higher-priority vCPU
-    /// waits in its queue and the ratelimit allows it; also fills an idle
-    /// pCPU. `cause` is the vCPU whose arrival prompted the check — under
-    /// the kick-throttle defense its domain is charged for BOOST
-    /// evictions deferred beyond the ratelimit.
-    fn maybe_preempt(
-        &mut self,
-        pcpu: PcpuId,
-        now: SimTime,
-        events: &mut Vec<SchedEvent>,
-        cause: GlobalVcpu,
-    ) {
-        match self.pcpus[pcpu.index()].current {
-            None => self.reschedule(pcpu, now, events),
-            Some(cur) => {
-                let cur_prio = self.vcpu(cur).prio as usize;
-                let best = self.best_waiting_prio(pcpu);
-                let ran = now.since(self.pcpus[pcpu.index()].run_since);
-                if best >= cur_prio || ran < self.config.ratelimit {
-                    return;
-                }
-                // Kick-throttle defense: BOOST arrivals evict only an
-                // occupant that has run KICK_THROTTLE_FACTOR× the
-                // ratelimit, bounding wake-storm preemption farming.
-                if self.config.kick_throttle
-                    && best == Prio::Boost as usize
-                    && ran < self.config.ratelimit * KICK_THROTTLE_FACTOR
-                {
-                    self.domains[cause.dom.index()].kicks_throttled += 1;
-                    return;
-                }
-                self.deschedule_current(pcpu, now, true, events);
+    /// A vCPU blocks voluntarily (guest idle / HLT / `SCHEDOP_poll`).
+    /// Assignment changes are appended to `events`.
+    fn vcpu_block(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
+        match self.vcpu(gv).state {
+            VcpuState::Running { pcpu, .. } => {
+                self.deschedule_current(pcpu, now, false, events);
+                self.vcpu_mut(gv).state = VcpuState::Blocked { since: now };
                 self.reschedule(pcpu, now, events);
             }
+            VcpuState::Runnable { .. } => {
+                // Raced: it was preempted and now blocks from the queue.
+                self.remove_from_queue(gv, now);
+                self.vcpu_mut(gv).state = VcpuState::Blocked { since: now };
+            }
+            VcpuState::Blocked { .. } => {}
         }
     }
 
     /// The running vCPU on `pcpu` yields (pv-spinlock `SCHEDOP_yield`):
     /// it goes to the back of its priority queue.
-    pub fn vcpu_yield(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
+    fn vcpu_yield(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
         if let VcpuState::Running { pcpu, .. } = self.vcpu(gv).state {
             self.deschedule_current(pcpu, now, true, events);
             self.reschedule(pcpu, now, events);
         }
     }
 
-    /// End of the 30 ms quantum on `pcpu`: round-robin to the next vCPU.
-    pub fn slice_expired(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
-        if self.pcpus[pcpu.index()].current.is_some() {
-            self.deschedule_current(pcpu, now, true, events);
-            self.reschedule(pcpu, now, events);
-        }
-    }
-
-    /// Marks `gv` frozen/unfrozen (the `SCHEDOP_freezecpu` hypercall).
-    ///
-    /// Freezing only changes credit accounting — the vCPU keeps its pCPU
-    /// until the guest finishes evacuating it and blocks (Algorithm 2's
-    /// split design). Unfreezing re-adds it to the active list; the guest
-    /// wakes it separately.
-    pub fn set_frozen(&mut self, gv: GlobalVcpu, frozen: bool) {
-        self.vcpu_mut(gv).frozen = frozen;
-    }
-
     /// Kicks a vCPU for a pending reconfiguration IPI: wakes it with BOOST
     /// priority and preempts aggressively so Algorithm 2's target-side work
     /// happens promptly (§4.2: the hypervisor "tickles the reconfigured
     /// vCPU and prioritizes its scheduling").
-    pub fn kick_vcpu(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
+    fn kick_vcpu(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
         match self.vcpu(gv).state {
             VcpuState::Blocked { .. } => {
                 self.vcpu_mut(gv).prio = Prio::Boost;
@@ -1101,27 +861,134 @@ impl CreditScheduler {
         }
     }
 
-    /// Signed credit balance of `gv`, in nanoseconds (test/inspection hook).
-    pub fn credits_ns(&self, gv: GlobalVcpu) -> i64 {
-        self.vcpu(gv).credits_ns
+    /// Marks `gv` frozen/unfrozen (the `SCHEDOP_freezecpu` hypercall).
+    ///
+    /// Freezing only changes credit accounting — the vCPU keeps its pCPU
+    /// until the guest finishes evacuating it and blocks (Algorithm 2's
+    /// split design). Unfreezing re-adds it to the active list; the guest
+    /// wakes it separately.
+    fn set_frozen(&mut self, gv: GlobalVcpu, frozen: bool) {
+        self.vcpu_mut(gv).frozen = frozen;
     }
 
-    /// Kick-path evictions suppressed by the kick-throttle defense for
-    /// kicks aimed at `dom`'s vCPUs.
-    pub fn kicks_throttled(&self, dom: DomId) -> u64 {
-        self.domains[dom.index()].kicks_throttled
+    fn is_frozen(&self, gv: GlobalVcpu) -> bool {
+        self.vcpu(gv).frozen
     }
 
-    /// How many times `gv` has been placed on a pCPU.
-    pub fn scheduled_count(&self, gv: GlobalVcpu) -> u64 {
+    fn running_on(&self, pcpu: PcpuId) -> Option<GlobalVcpu> {
+        self.pcpus[pcpu.index()].current
+    }
+
+    fn where_running(&self, gv: GlobalVcpu) -> Option<PcpuId> {
+        match self.vcpu(gv).state {
+            VcpuState::Running { pcpu, .. } => Some(pcpu),
+            _ => None,
+        }
+    }
+
+    fn vcpu_state(&self, gv: GlobalVcpu) -> VcpuState {
+        self.vcpu(gv).state
+    }
+
+    fn pcpu_gen(&self, pcpu: PcpuId) -> u64 {
+        self.pcpus[pcpu.index()].gen
+    }
+
+    fn domain_wait_total(&self, dom: DomId) -> SimDuration {
+        self.stats
+            .domain(dom)
+            .iter()
+            .fold(SimDuration::ZERO, |acc, v| acc.saturating_add(v.wait_total))
+    }
+
+    fn domain_run_total(&self, dom: DomId) -> SimDuration {
+        self.stats
+            .domain(dom)
+            .iter()
+            .fold(SimDuration::ZERO, |acc, v| acc.saturating_add(v.run_total))
+    }
+
+    fn vcpu_wait_total(&self, gv: GlobalVcpu) -> SimDuration {
+        self.stats[gv].wait_total
+    }
+
+    fn vcpu_run_total(&self, gv: GlobalVcpu) -> SimDuration {
+        self.stats[gv].run_total
+    }
+
+    fn total_run_ns(&self) -> u64 {
+        self.total_run_ns
+    }
+
+    fn migrations(&self) -> u64 {
+        self.migrations
+    }
+
+    fn switches(&self, pcpu: PcpuId) -> u64 {
+        self.pcpus[pcpu.index()].switches
+    }
+
+    fn scheduled_count(&self, gv: GlobalVcpu) -> u64 {
         self.stats[gv].scheduled_count
     }
 
-    /// Convenience: wake every vCPU of a domain (used at guest boot).
-    pub fn wake_domain(&mut self, dom: DomId, now: SimTime, events: &mut Vec<SchedEvent>) {
-        let n = self.hot.n_vcpus(dom);
-        for i in 0..n {
-            self.vcpu_wake(GlobalVcpu::new(dom, VcpuId(i)), now, events);
+    /// Reads a domain's latest extendability (the `SCHEDOP_getvscaleinfo`
+    /// hypercall payload).
+    fn extendability(&self, dom: DomId) -> ExtendInfo {
+        self.domains[dom.index()].extend
+    }
+
+    fn extend_version(&self) -> u64 {
+        self.extend.version()
+    }
+
+    fn kicks_throttled(&self, dom: DomId) -> u64 {
+        self.domains[dom.index()].kicks_throttled
+    }
+
+    /// Carries each vCPU's credit balance alongside the generic flags.
+    fn export_domain(&self, dom: DomId) -> DomSchedExport {
+        DomSchedExport {
+            vcpus: self
+                .hot
+                .domain(dom)
+                .iter()
+                .map(|v| VcpuSchedExport {
+                    frozen: v.frozen,
+                    runnable: !matches!(v.state, VcpuState::Blocked { .. }),
+                    credit: v.credits_ns,
+                })
+                .collect(),
+        }
+    }
+
+    /// Restores credit balances (and the priority they imply) before
+    /// waking the vCPUs that had runnable work at export.
+    fn import_domain(
+        &mut self,
+        dom: DomId,
+        export: &DomSchedExport,
+        now: SimTime,
+        events: &mut Vec<SchedEvent>,
+    ) {
+        assert_eq!(
+            export.vcpus.len(),
+            self.hot.n_vcpus(dom),
+            "vCPU count mismatch on import"
+        );
+        for (i, x) in export.vcpus.iter().enumerate() {
+            let gv = GlobalVcpu::new(dom, VcpuId(i));
+            let v = &mut self.hot[gv];
+            v.credits_ns = x.credit;
+            v.prio = if x.credit > 0 {
+                Prio::Under
+            } else {
+                Prio::Over
+            };
+            if x.runnable && matches!(v.state, VcpuState::Blocked { .. }) {
+                self.vcpu_wake(gv, now, events);
+            }
+            self.hot[gv].frozen = x.frozen;
         }
     }
 }
@@ -1826,66 +1693,5 @@ mod scheduler_proptests {
                 Ok(())
             },
         );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Migration export
-// ---------------------------------------------------------------------------
-
-mod migration {
-    use super::*;
-    use crate::api::{DomSchedExport, VcpuSchedExport};
-
-    impl CreditScheduler {
-        /// Extracts the migration payload for `dom`, carrying the credit
-        /// balance alongside the generic flags.
-        pub fn export_domain_state(&self, dom: DomId) -> DomSchedExport {
-            DomSchedExport {
-                vcpus: self
-                    .hot
-                    .domain(dom)
-                    .iter()
-                    .map(|v| VcpuSchedExport {
-                        frozen: v.frozen,
-                        runnable: !matches!(v.state, VcpuState::Blocked { .. }),
-                        credit: v.credits_ns,
-                    })
-                    .collect(),
-            }
-        }
-
-        /// Installs a migration payload into `dom` (a freshly created,
-        /// fully blocked twin), restoring credit balances and waking the
-        /// vCPUs that had runnable work at export.
-        pub fn import_domain_state(
-            &mut self,
-            dom: DomId,
-            x: &DomSchedExport,
-            now: SimTime,
-            events: &mut Vec<SchedEvent>,
-        ) {
-            assert_eq!(
-                x.vcpus.len(),
-                self.hot.n_vcpus(dom),
-                "vCPU count mismatch on import"
-            );
-            for (i, vx) in x.vcpus.iter().enumerate() {
-                let gv = GlobalVcpu::new(dom, VcpuId(i));
-                {
-                    let v = &mut self.hot[gv];
-                    v.credits_ns = vx.credit;
-                    v.prio = if vx.credit > 0 {
-                        Prio::Under
-                    } else {
-                        Prio::Over
-                    };
-                }
-                if vx.runnable && matches!(self.hot[gv].state, VcpuState::Blocked { .. }) {
-                    self.vcpu_wake(gv, now, events);
-                }
-                self.hot[gv].frozen = vx.frozen;
-            }
-        }
     }
 }

@@ -17,11 +17,18 @@
 //! pCPUs the domain could keep busy, with one extra vCPU for a partial
 //! allocation. Reservation and cap bounds clamp `s_ext` before the ceiling.
 //!
-//! The function here is pure — it is exercised directly by unit and property
-//! tests — and is driven by
-//! [`CreditScheduler::on_extend_tick`](crate::credit::CreditScheduler::on_extend_tick).
+//! [`compute_extendability`] is pure — it is exercised directly by unit
+//! and property tests. Every backend drives it through one
+//! `ExtendWindow`, from its
+//! [`HypervisorSched::on_extend_tick`](crate::api::HypervisorSched::on_extend_tick):
+//! the window's start and publication version are scheduler state, and
+//! every backend's domain record is the shared `pool::Domain`.
 
+use sim_core::ids::DomId;
+use sim_core::soa::VcpuMap;
 use sim_core::time::{SimDuration, SimTime};
+
+use crate::pool::Domain;
 
 /// Per-domain inputs to Algorithm 1 for one period.
 #[derive(Clone, Copy, Debug)]
@@ -235,6 +242,66 @@ sim_core::snap_struct!(ExtendInfo {
     computed_at,
     period,
 });
+
+/// Algorithm 1's periodic driver (`vscale_ticker_fn`), shared by every
+/// backend: the window start, the publication version, and reused
+/// scratch so the 10 ms pass allocates nothing in steady state.
+#[derive(Debug, Default)]
+pub(crate) struct ExtendWindow {
+    /// Start of the current extendability window.
+    start: SimTime,
+    /// Seqlock-style version of the published extendability snapshots.
+    version: u64,
+    params: Vec<ExtendParams>,
+    infos: Vec<ExtendInfo>,
+}
+
+sim_core::snap_struct!(ExtendWindow { start, version } skip { params, infos });
+
+impl ExtendWindow {
+    /// The publication version: bumped once per [`ExtendWindow::tick`]
+    /// that republishes.
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Closes the window at `now`, republishes every domain's
+    /// extendability from its consumption over the window, and opens the
+    /// next window. The caller burns every running vCPU up to `now`
+    /// first; `hot` supplies the vCPU counts. A window of zero length
+    /// publishes nothing.
+    pub(crate) fn tick<A, T>(
+        &mut self,
+        now: SimTime,
+        n_pcpus: usize,
+        domains: &mut [Domain<A>],
+        hot: &VcpuMap<T>,
+    ) {
+        let window = now.since(self.start);
+        self.start = now;
+        if window.is_zero() {
+            return;
+        }
+        self.params.clear();
+        self.params
+            .extend(domains.iter().enumerate().map(|(di, d)| ExtendParams {
+                weight: d.weight,
+                consumed: d.consumed_extend,
+                cap_pcpus: d.cap_pcpus,
+                reservation_pcpus: d.reservation_pcpus,
+                n_vcpus: hot.n_vcpus(DomId(di)),
+            }));
+        compute_extendability_into(&self.params, n_pcpus, window, now, &mut self.infos);
+        for (d, info) in domains.iter_mut().zip(&self.infos) {
+            d.consumed_extend = SimDuration::ZERO;
+            d.extend = *info;
+        }
+        // Seqlock-style publication counter: readers compare the version
+        // they consumed against this to detect stale serves, and a torn
+        // serve (fields mixed across versions) fails snapshot validation.
+        self.version += 1;
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -7,6 +7,10 @@
 //!   time slices, BOOST/UNDER/OVER priorities, work-conserving idle stealing,
 //!   and per-VM weights (the paper's §4.2 modification — freezing vCPUs does
 //!   not change a domain's total credit).
+//! - [`api`] — the [`HypervisorSched`] trait every backend implements; the
+//!   Credit2-style ([`credit2`]) and dynamic-fractional ([`dynfrac`])
+//!   backends are two [`pool::Policy`] implementations over one
+//!   [`pool::Pool`].
 //! - [`extend`] — **Algorithm 1** of the paper: the periodic computation of
 //!   every SMP domain's *CPU extendability* (its maximum achievable CPU
 //!   allocation under current machine-wide load) and the optimal number of
@@ -33,6 +37,7 @@ pub mod dynfrac;
 pub mod evtchn;
 pub mod extend;
 pub mod libxl_model;
+pub mod pool;
 
 pub use api::{DomSchedExport, HypervisorSched, VcpuSchedExport};
 pub use channel::VscaleChannel;

@@ -176,6 +176,11 @@ cargo clippy --workspace --offline --all-targets -- -D warnings
 echo "== tier-1: rustfmt (--check) =="
 cargo fmt --check
 
+echo "== tier-1: rustdoc (offline, -D warnings) =="
+# Broken or ambiguous intra-doc links fail here, e.g. a link to a method
+# that moved between an inherent impl and a trait impl.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== bench smoke: table1_channel + fig6_npb (quick scale) =="
 for bench in table1_channel fig6_npb; do
     VSCALE_BENCH_SCALE="${VSCALE_BENCH_SCALE:-quick}" VSCALE_BENCH_SEEDS="${VSCALE_BENCH_SEEDS:-1}" \

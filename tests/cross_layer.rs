@@ -6,6 +6,7 @@ use vscale_repro::apps::apache::{self, ApacheConfig};
 use vscale_repro::core::config::{DomainSpec, MachineConfig, SystemConfig};
 use vscale_repro::core::machine::Machine;
 use vscale_repro::guest::thread::{OneShot, Script, ThreadAction, ThreadKind};
+use vscale_repro::hv::HypervisorSched;
 use vscale_repro::sim::time::{SimDuration, SimTime};
 use vscale_repro::VcpuId;
 
