@@ -243,7 +243,7 @@ sim_core::snap_struct!(ExtendInfo {
     period,
 });
 
-/// Algorithm 1's periodic driver (`vscale_ticker_fn`), shared by every
+/// Algorithm 1's periodic ticker (`vscale_ticker_fn`), shared by every
 /// backend: the window start, the publication version, and reused
 /// scratch so the 10 ms pass allocates nothing in steady state.
 #[derive(Debug, Default)]
