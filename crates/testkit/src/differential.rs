@@ -17,8 +17,11 @@
 //!    trajectory (the harness drives wakes/blocks open-loop), the number
 //!    of busy pCPUs at any instant is `min(runnable, n_pcpus)` for both,
 //!    so the machine-wide run-time integral must be *equal*, and bounded
-//!    by pCPU capacity. Per-domain splits legitimately differ between
-//!    policies and are not compared.
+//!    by pCPU capacity. The same argument fixes the waiting-time integral:
+//!    at every instant `runnable − min(runnable, n_pcpus)` vCPUs wait, so
+//!    the closed waiting spans plus the open span of every vCPU still
+//!    queued at the end must be equal too. Per-domain splits legitimately
+//!    differ between policies and are not compared.
 //!
 //! # The freeze convention
 //!
@@ -188,6 +191,10 @@ fn scenario_with_ops(op: Gen<Op>, max_ops: usize) -> Gen<Scenario> {
 pub struct Replay {
     /// Machine-wide run time after the settle flush, in nanoseconds.
     pub total_run_ns: u64,
+    /// Machine-wide waiting time at the end of the replay, in
+    /// nanoseconds: every closed waiting span, plus the open span of each
+    /// vCPU still queued.
+    pub total_wait_ns: u64,
     /// Simulated time at the end of the replay.
     pub end: SimTime,
     /// Cross-pCPU migrations the policy performed (informational).
@@ -375,8 +382,19 @@ pub fn replay<S: HypervisorSched>(scenario: &Scenario) -> Result<Replay, String>
             s.total_run_ns()
         ));
     }
+    let open_wait_ns: u64 = vcpus
+        .iter()
+        .map(|&gv| match s.vcpu_state(gv) {
+            VcpuState::Runnable { since, .. } => now.since(since).as_ns(),
+            _ => 0,
+        })
+        .sum();
+    let closed_wait_ns: u64 = (0..scenario.domains.len())
+        .map(|d| s.domain_wait_total(DomId(d)).as_ns())
+        .sum();
     Ok(Replay {
         total_run_ns: s.total_run_ns(),
+        total_wait_ns: closed_wait_ns + open_wait_ns,
         end: now,
         migrations: s.migrations(),
     })
@@ -398,6 +416,16 @@ pub fn check_pair<A: HypervisorSched, B: HypervisorSched>(
             B::backend_name(),
             b.total_run_ns,
             a.total_run_ns.abs_diff(b.total_run_ns),
+        ));
+    }
+    if a.total_wait_ns != b.total_wait_ns {
+        return Err(format!(
+            "waiting-time integral diverged: {}={} ns, {}={} ns (Δ {})",
+            A::backend_name(),
+            a.total_wait_ns,
+            B::backend_name(),
+            b.total_wait_ns,
+            a.total_wait_ns.abs_diff(b.total_wait_ns),
         ));
     }
     Ok(())

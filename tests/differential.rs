@@ -8,16 +8,16 @@
 //!   structural, freeze-safety, monotonicity, capacity, and
 //!   work-conservation invariants after every op, over ≥ 256 scenarios;
 //! - **pairwise**: any two backends replaying the same scenario agree on
-//!   the machine-wide run-time integral (the law every work-conserving
-//!   policy must share), over ≥ 256 scenarios per pair. A divergence is
-//!   shrunk to a minimal op sequence before being reported.
+//!   the machine-wide run-time and waiting-time integrals (the laws every
+//!   work-conserving policy must share), over ≥ 256 scenarios per pair. A
+//!   divergence is shrunk to a minimal op sequence before being reported.
 //!
 //! A third layer replays **attack-shaped** streams
 //! (`adversarial_scenario_gen`: timed self-wakeups, tick dodges,
 //! domain-wide kick storms, freeze thrash — the op-level mirrors of
 //! `workloads::antagonist`): adversarial composition may shift who runs,
 //! but every backend must keep structural sanity and work conservation,
-//! and any two backends must still agree on the run-time integral.
+//! and any two backends must still agree on both integrals.
 //!
 //! `scripts/verify.sh differential_smoke` runs exactly this file.
 
