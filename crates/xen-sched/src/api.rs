@@ -11,8 +11,7 @@
 //! - [`crate::credit::CreditScheduler`] — the paper's baseline: Xen's
 //!   proportional-share credit scheduler with the §4.2 freeze-aware
 //!   accounting modification. The reference backend; golden traces in
-//!   `tests/determinism.rs` pin it byte-for-byte. It keeps its own vCPU
-//!   record (priority band, cap parking) and dispatch.
+//!   `tests/determinism.rs` pin it byte-for-byte.
 //! - [`crate::credit2::Credit2Scheduler`] — a Credit2-style policy:
 //!   per-pCPU runqueues ordered by credit, credit resets when the picked
 //!   vCPU is out of credit, and periodic load-balancing migration.
@@ -21,7 +20,7 @@
 //!   every accounting epoch, with the minimum virtual time picked from one
 //!   global queue.
 //!
-//! The last two are one [`crate::pool::Pool`] under two
+//! All three are one [`crate::pool::Pool`] under three
 //! [`crate::pool::Policy`] implementations: the pool implements this
 //! trait once and the policies supply only what differs.
 //!

@@ -30,9 +30,9 @@
 use std::collections::VecDeque;
 
 use sim_core::ids::{GlobalVcpu, PcpuId};
-use sim_core::time::SimDuration;
+use sim_core::time::{SimDuration, SimTime};
 
-use crate::credit::VcpuState;
+use crate::credit::{SchedEvent, VcpuState};
 use crate::pool::{Policy, Pool};
 
 /// Initial credit grant (and the reset target): 10 ms of wall time at
@@ -87,11 +87,13 @@ impl Credit2Scheduler {
 impl Policy for Credit2 {
     const NAME: &'static str = "credit2";
     type Queue = VecDeque<GlobalVcpu>;
+    type Window = ();
     type Extra = i64;
     const INITIAL: i64 = CREDIT_INIT_NS;
 
-    fn charge(credits: &mut i64, ran: SimDuration, weight: u32) {
-        *credits -= (ran.as_ns() * WEIGHT_REF / u64::from(weight.max(1))) as i64;
+    fn charge(pool: &mut Pool<Self>, gv: GlobalVcpu, ran: SimDuration) {
+        let weight = pool.domains[gv.dom.index()].weight;
+        pool.hot[gv].extra -= (ran.as_ns() * WEIGHT_REF / u64::from(weight.max(1))) as i64;
     }
 
     fn enqueue(pool: &mut Pool<Self>, gv: GlobalVcpu, pcpu: PcpuId) {
@@ -131,15 +133,23 @@ impl Policy for Credit2 {
 
     /// A queued local vCPU preempts when it leads the running one by the
     /// preemption grain.
-    fn preempts(pool: &Pool<Self>, pcpu: PcpuId, cur: GlobalVcpu) -> bool {
+    fn preempts(
+        pool: &mut Pool<Self>,
+        pcpu: PcpuId,
+        cur: GlobalVcpu,
+        _waker: Option<GlobalVcpu>,
+        _now: SimTime,
+    ) -> bool {
         pool.best_in(pcpu).is_some_and(|i| {
             let challenger = pool.pcpus[pcpu.index()].queue[i];
             pool.credits_ns(challenger) > pool.credits_ns(cur) + PREEMPT_GRAIN_NS
         })
     }
 
-    fn wake_home(pool: &mut Pool<Self>, gv: GlobalVcpu, idle: Option<PcpuId>) -> PcpuId {
-        idle.unwrap_or(pool.hot[gv].last_pcpu)
+    /// Queues on the idle pCPU nearest `gv`, else on its last pCPU.
+    fn wake(pool: &mut Pool<Self>, gv: GlobalVcpu) -> Option<(PcpuId, PcpuId)> {
+        let home = pool.nearest_idle(gv).unwrap_or(pool.hot[gv].last_pcpu);
+        Some((home, home))
     }
 
     fn yield_penalty(credits: &mut i64) {
@@ -147,8 +157,9 @@ impl Policy for Credit2 {
     }
 
     /// Levels runqueue lengths: migrates the tail of the longest queue
-    /// to the shortest until they differ by at most one.
-    fn acct(pool: &mut Pool<Self>) {
+    /// to the shortest until they differ by at most one, then fills any
+    /// pCPU left idle next to queued work.
+    fn acct(pool: &mut Pool<Self>, now: SimTime, events: &mut Vec<SchedEvent>) {
         loop {
             let (mut longest, mut shortest) = (0, 0);
             for (i, p) in pool.pcpus.iter().enumerate() {
@@ -172,6 +183,7 @@ impl Policy for Credit2 {
             pool.pcpus[shortest].queue.push_back(gv);
             pool.migrations += 1;
         }
+        pool.fill_idle(now, events);
     }
 
     fn credit(credits: &i64) -> i64 {

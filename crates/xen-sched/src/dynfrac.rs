@@ -30,9 +30,9 @@
 //! the credit backend.
 
 use sim_core::ids::{DomId, GlobalVcpu, PcpuId};
-use sim_core::time::SimDuration;
+use sim_core::time::{SimDuration, SimTime};
 
-use crate::credit::VcpuState;
+use crate::credit::{SchedEvent, VcpuState};
 use crate::pool::{Policy, Pool};
 
 /// Preemption granularity: a waiting vCPU preempts only when it trails
@@ -98,13 +98,15 @@ impl DynFracScheduler {
 impl Policy for DynFrac {
     const NAME: &'static str = "dynfrac";
     type Queue = ();
+    type Window = ();
     type Extra = VirtualTime;
     const INITIAL: VirtualTime = VirtualTime {
         vruntime_ns: 0,
         frac_permille: 1000,
     };
 
-    fn charge(x: &mut VirtualTime, ran: SimDuration, _weight: u32) {
+    fn charge(pool: &mut Pool<Self>, gv: GlobalVcpu, ran: SimDuration) {
+        let x = &mut pool.hot[gv].extra;
         let frac = u64::from(x.frac_permille.max(1));
         x.vruntime_ns += ran.as_ns() * 1000 / frac;
     }
@@ -125,7 +127,13 @@ impl Policy for DynFrac {
 
     /// The best waiter preempts when it trails the running vCPU's
     /// virtual time by at least the granularity.
-    fn preempts(pool: &Pool<Self>, _pcpu: PcpuId, cur: GlobalVcpu) -> bool {
+    fn preempts(
+        pool: &mut Pool<Self>,
+        _pcpu: PcpuId,
+        cur: GlobalVcpu,
+        _waker: Option<GlobalVcpu>,
+        _now: SimTime,
+    ) -> bool {
         pool.min_runnable().is_some_and(|i| {
             let challenger = pool.policy.runnable[i];
             pool.vruntime_ns(challenger) + GRAIN_NS < pool.vruntime_ns(cur)
@@ -133,8 +141,9 @@ impl Policy for DynFrac {
     }
 
     /// Applies the sleeper rule, re-entering at the minimum virtual time
-    /// over running and runnable vCPUs, and stays homed at the last pCPU.
-    fn wake_home(pool: &mut Pool<Self>, gv: GlobalVcpu, _idle: Option<PcpuId>) -> PcpuId {
+    /// over running and runnable vCPUs, and stays homed at the last pCPU;
+    /// the pool serves the idle pCPU nearest it.
+    fn wake(pool: &mut Pool<Self>, gv: GlobalVcpu) -> Option<(PcpuId, PcpuId)> {
         let running = pool.pcpus.iter().filter_map(|p| p.current);
         let floor = running
             .chain(pool.policy.runnable.iter().copied())
@@ -144,7 +153,8 @@ impl Policy for DynFrac {
         if let Some(floor) = floor {
             v.extra.vruntime_ns = v.extra.vruntime_ns.max(floor);
         }
-        v.last_pcpu
+        let home = v.last_pcpu;
+        Some((home, pool.nearest_idle(gv).unwrap_or(home)))
     }
 
     fn yield_penalty(x: &mut VirtualTime) {
@@ -153,8 +163,9 @@ impl Policy for DynFrac {
     }
 
     /// Recomputes every vCPU's fraction from the weights of domains with
-    /// runnable work (the continuous-share epoch).
-    fn acct(pool: &mut Pool<Self>) {
+    /// runnable work (the continuous-share epoch), then fills any pCPU
+    /// left idle next to queued work.
+    fn acct(pool: &mut Pool<Self>, now: SimTime, events: &mut Vec<SchedEvent>) {
         let n_pcpus = pool.pcpus.len() as u64;
         let weight_sum: u64 = pool
             .domains
@@ -186,6 +197,7 @@ impl Policy for DynFrac {
             }
         }
         pool.policy.epochs += 1;
+        pool.fill_idle(now, events);
     }
 }
 

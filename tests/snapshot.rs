@@ -145,8 +145,8 @@ fn image_bytes_match_pinned_goldens() {
     // Rows: credit, credit + faults, credit2, credit2 + faults, dynfrac,
     // dynfrac + faults. Columns: checkpoint, vm_image_bytes, extract_vm.
     let want: [[u64; 3]; 6] = [
-        [0xa864a5faeacbc37c, 0xc136a0946f08a907, 0x24f1127b5b06aff3],
-        [0x6073bdd88e0e7379, 0x1627722e3265bd5b, 0xb14d0f633a163e2f],
+        [0x0968ecb5df61cf1c, 0xc136a0946f08a907, 0x24f1127b5b06aff3],
+        [0xc5c6e38809f4ba21, 0x1627722e3265bd5b, 0xb14d0f633a163e2f],
         [0xf0212ae915123082, 0xad00a701f649031c, 0xd5290be10f33cece],
         [0xb4ee77252312bbd7, 0x2115768b56885486, 0x2e2063a4e3fba3f8],
         [0x6ffad1b22a2ef59e, 0x73e16f85a7bf4a5d, 0x3f8d86bef81e2bc9],
