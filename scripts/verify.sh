@@ -6,6 +6,7 @@
 #   ./scripts/verify.sh          # build + full test suite + bench smoke
 #   VSCALE_BENCH_SCALE=full ./scripts/verify.sh   # paper-length smoke
 #   ./scripts/verify.sh differential_smoke   # just the differential gate
+#   ./scripts/verify.sh scheduler            # every scheduler trajectory and image pin
 #   ./scripts/verify.sh backend_grid         # just the grid checksum gate
 #   ./scripts/verify.sh attack_grid          # just the adversarial-grid gate
 #   ./scripts/verify.sh elastic              # just the autoscaler interplay gate
@@ -73,6 +74,17 @@ differential_smoke() {
     echo "== differential: 256 seeded op streams × 3 backends × 3 pairs =="
     cargo test -q --offline --test differential
     echo "   per-backend invariants and cross-backend conservation OK"
+}
+
+# Every pin on scheduler trajectories and images in one step: the
+# xen-sched unit tests, the cross-backend laws, the layout goldens, the
+# determinism goldens and the snapshot image goldens.
+scheduler_gate() {
+    echo "== scheduler: xen-sched unit tests + trajectory and image pins =="
+    cargo test -q --offline -p xen-sched
+    cargo test -q --offline --test differential --test layout_equivalence \
+        --test determinism --test snapshot
+    echo "   scheduler pins OK"
 }
 
 # The per-backend figure grid (reduced fig6/fig11/fig14 on every
@@ -154,6 +166,7 @@ perf_digest_gate() {
 
 case "${1:-all}" in
     differential_smoke) differential_smoke; exit 0 ;;
+    scheduler) scheduler_gate; exit 0 ;;
     backend_grid) backend_grid_gate; exit 0 ;;
     attack_grid) attack_grid_gate; exit 0 ;;
     elastic) elastic_gate; exit 0 ;;
