@@ -267,7 +267,6 @@ impl ElasticFleet {
         self.fold_window(&tail);
         self.curve.sent = self.cluster.sent();
         self.curve.in_flight_end = self.cluster.in_flight();
-        self.curve.steps_skipped = self.cluster.steps_skipped();
         self.curve.host_ms = self.host_ns / 1_000_000;
         self.curve
     }

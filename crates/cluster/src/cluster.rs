@@ -1360,11 +1360,9 @@ impl Cluster {
     /// Packages the run's measurements as one fleet sweep point,
     /// attaching robustness counters only when failure machinery
     /// actually fired (an undisturbed run serializes identically to one
-    /// from a build without failure support). The sparse-stepping skip
-    /// counter rides along the same way: serialized only when non-zero.
+    /// from a build without failure support).
     pub fn fleet_point(&self, mode: impl Into<String>, offered_rps: u64) -> FleetPoint {
-        let point = FleetPoint::from_hosts(mode, offered_rps, self.sent, self.host_samples())
-            .with_steps_skipped(self.steps_skipped);
+        let point = FleetPoint::from_hosts(mode, offered_rps, self.sent, self.host_samples());
         if self.robustness.is_zero() {
             point
         } else {

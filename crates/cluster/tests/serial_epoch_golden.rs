@@ -109,7 +109,7 @@ fn serial_epoch_outputs_match_pinned_goldens() {
         round_robin_crash_restore(),
         migrated_backends(),
     ];
-    let want: [u64; 3] = [0x11fc222cfe34a416, 0x69193d27ae58a46d, 0x19351cf4bfc4c30a];
+    let want: [u64; 3] = [0x84ae14589c758dd5, 0x12f11791276e6873, 0xa086f57ad379d4a9];
     assert_eq!(
         got, want,
         "serial epoch outputs drifted (got [{:#018x}, {:#018x}, {:#018x}])",

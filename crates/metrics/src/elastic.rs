@@ -134,8 +134,6 @@ pub struct ElasticCurve {
     pub in_flight_end: u64,
     /// Aggregate measured-latency histogram over the whole run.
     pub latency_us: Histogram,
-    /// Host `step_to` calls the sparse lockstep loop skipped.
-    pub steps_skipped: u64,
 }
 
 impl ElasticCurve {
@@ -151,7 +149,6 @@ impl ElasticCurve {
             drops: 0,
             in_flight_end: 0,
             latency_us: Histogram::new(),
-            steps_skipped: 0,
         }
     }
 
@@ -244,7 +241,7 @@ impl ElasticCurve {
             "{{\"mode\":\"{}\",\"sent\":{},\"completed\":{},\"drops\":{},\
              \"in_flight_end\":{},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\
              \"host_ms\":{},\"hosts_min\":{},\"hosts_max\":{},\"scale_outs\":{},\
-             \"scale_ins\":{},\"steps_skipped\":{},\"events\":[{}],\"samples\":[{}]}}",
+             \"scale_ins\":{},\"events\":[{}],\"samples\":[{}]}}",
             self.mode,
             self.sent,
             self.completed,
@@ -258,7 +255,6 @@ impl ElasticCurve {
             self.max_hosts(),
             self.scale_outs(),
             self.scale_ins(),
-            self.steps_skipped,
             events.join(","),
             samples.join(","),
         )

@@ -127,11 +127,6 @@ pub struct FleetPoint {
     /// the robustness machinery. `None` keeps the JSON of plain sweeps
     /// byte-identical to pre-robustness output.
     pub robustness: Option<RobustnessStats>,
-    /// Host `step_to` calls the cluster's sparse lockstep loop skipped
-    /// because the host's event-time hint lay past the epoch horizon.
-    /// Serialized only when non-zero, so points built without the
-    /// counter keep their prior byte format.
-    pub steps_skipped: u64,
 }
 
 impl FleetPoint {
@@ -161,19 +156,12 @@ impl FleetPoint {
             latency_us,
             hosts,
             robustness: None,
-            steps_skipped: 0,
         }
     }
 
     /// Attaches failure/recovery counters to the point.
     pub fn with_robustness(mut self, r: RobustnessStats) -> Self {
         self.robustness = Some(r);
-        self
-    }
-
-    /// Attaches the sparse-stepping skip counter to the point.
-    pub fn with_steps_skipped(mut self, skipped: u64) -> Self {
-        self.steps_skipped = skipped;
         self
     }
 
@@ -211,14 +199,9 @@ impl FleetPoint {
             Some(r) => format!(",\"robustness\":{}", r.to_json()),
             None => String::new(),
         };
-        let skipped = if self.steps_skipped > 0 {
-            format!(",\"steps_skipped\":{}", self.steps_skipped)
-        } else {
-            String::new()
-        };
         format!(
             "{{\"mode\":\"{}\",\"offered_rps\":{},\"sent\":{},\"completed\":{},\
-             \"drops\":{},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"hosts\":[{}]{}{}}}",
+             \"drops\":{},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"hosts\":[{}]{}}}",
             self.mode,
             self.offered_rps,
             self.sent,
@@ -228,7 +211,6 @@ impl FleetPoint {
             self.p99_us(),
             self.p999_us(),
             hosts.join(","),
-            skipped,
             robustness,
         )
     }
@@ -468,28 +450,6 @@ mod tests {
         assert_eq!(merged.downtime_us.count(), 2);
         assert!(c.summary_json(10_000).contains("\"requests_requeued\":80"));
         assert!(RobustnessStats::default().is_zero());
-    }
-
-    #[test]
-    fn steps_skipped_extends_json_only_when_nonzero() {
-        let plain = FleetPoint::from_hosts("vscale", 1_000, 10, vec![host(0, &[100], 0)]);
-        let plain_line = plain.to_json();
-        assert!(!plain_line.contains("steps_skipped"), "{plain_line}");
-        let line = plain.clone().with_steps_skipped(1_234).to_json();
-        assert!(
-            line.starts_with(&plain_line[..plain_line.len() - 1]),
-            "the counter must extend, not reshape, the line: {line}"
-        );
-        assert!(line.ends_with(",\"steps_skipped\":1234}"), "{line}");
-        // With robustness attached too, the counter stays ahead of it.
-        let r = RobustnessStats {
-            hosts_down: 1,
-            ..RobustnessStats::default()
-        };
-        let both = plain.with_steps_skipped(5).with_robustness(r).to_json();
-        let skip_at = both.find("steps_skipped").expect("counter present");
-        let rob_at = both.find("robustness").expect("robustness present");
-        assert!(skip_at < rob_at, "{both}");
     }
 
     #[test]
