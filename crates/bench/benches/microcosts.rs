@@ -9,7 +9,10 @@
 //! The `event_queue_churn_*` pair runs the same tick/IPI/timeout mix
 //! through both queue backends (timing wheel vs the reference binary
 //! heap) and reports `events_per_sec`, so `scripts/bench_snapshot.sh`
-//! records the wheel-vs-heap throughput ratio over time.
+//! records the wheel-vs-heap throughput ratio over time. The
+//! `event_queue_rearm_churn_*` pair measures keyed timers alone: 16 keys,
+//! each re-armed after it fires, once through `arm` and once as
+//! cancel-then-schedule on the wheel.
 
 use std::hint::black_box;
 
@@ -212,6 +215,80 @@ fn bench_event_queue_churn(r: &mut BenchRunner) {
     });
 }
 
+/// Keys of the re-arm churn: one per pCPU of a 16-pCPU host.
+const REARM_KEYS: usize = 16;
+
+/// Re-arms `key` at `t`: through the keyed timer when `handles` is
+/// `None`, else as cancel-then-schedule on the wheel.
+fn rearm(
+    q: &mut EventQueue<u32>,
+    handles: Option<&mut Vec<Option<EventHandle>>>,
+    key: usize,
+    t: SimTime,
+) {
+    match handles {
+        None => q.arm(key, t, key as u32),
+        Some(handles) => {
+            if let Some(h) = handles[key].take() {
+                q.cancel(h); // false when the key just fired
+            }
+            handles[key] = Some(q.schedule(t, key as u32));
+        }
+    }
+}
+
+/// A plan-like delay: 0–1 ms, so some re-arms land at `now` and tie.
+fn rearm_delay(rng: &mut SimRng) -> SimDuration {
+    SimDuration::from_ns(rng.range(0, 1_000_000))
+}
+
+/// Delivers [`CHURN_POPS`] keyed events. Each fired key is re-armed,
+/// and one pop in four also re-arms a random key before it fires — the
+/// share of guest plans that are replaced rather than delivered.
+fn rearm_churn_step(
+    q: &mut EventQueue<u32>,
+    handles: &mut Option<Vec<Option<EventHandle>>>,
+    rng: &mut SimRng,
+) -> u64 {
+    for _ in 0..CHURN_POPS {
+        let (t, key) = q
+            .pop_next_until(SimTime::MAX)
+            .expect("re-arm churn never drains");
+        rearm(q, handles.as_mut(), key as usize, t + rearm_delay(rng));
+        if rng.range(0, 4) == 0 {
+            let other = rng.range(0, REARM_KEYS as u64) as usize;
+            rearm(q, handles.as_mut(), other, t + rearm_delay(rng));
+        }
+    }
+    q.delivered()
+}
+
+fn bench_event_queue_rearm_churn(r: &mut BenchRunner) {
+    for (name, keyed) in [
+        ("event_queue_rearm_churn_timer", true),
+        ("event_queue_rearm_churn_wheel", false),
+    ] {
+        let mut q: EventQueue<u32> = if keyed {
+            EventQueue::with_timers(REARM_KEYS)
+        } else {
+            EventQueue::new()
+        };
+        let mut handles = (!keyed).then(|| vec![None; REARM_KEYS]);
+        let mut rng = SimRng::new(42);
+        for key in 0..REARM_KEYS {
+            rearm(
+                &mut q,
+                handles.as_mut(),
+                key,
+                SimTime::ZERO + rearm_delay(&mut rng),
+            );
+        }
+        r.bench_throughput(name, CHURN_POPS, || {
+            rearm_churn_step(&mut q, &mut handles, &mut rng)
+        });
+    }
+}
+
 fn bench_machine_dispatch(r: &mut BenchRunner) {
     // Guard for the dispatch-path fix: the supervised run loop calls
     // watchdog_tick per delivered event, and each elapsed stall window
@@ -352,6 +429,7 @@ fn main() {
     bench_credit_wake_block(&mut r);
     bench_event_queue(&mut r);
     bench_event_queue_churn(&mut r);
+    bench_event_queue_rearm_churn(&mut r);
     bench_machine_dispatch(&mut r);
     bench_machine_steps(&mut r);
     bench_tick_path(&mut r);

@@ -7,6 +7,7 @@
 #   VSCALE_BENCH_SCALE=full ./scripts/verify.sh   # paper-length smoke
 #   ./scripts/verify.sh differential_smoke   # just the differential gate
 #   ./scripts/verify.sh scheduler            # every scheduler trajectory and image pin
+#   ./scripts/verify.sh queue                # every pin on event delivery order
 #   ./scripts/verify.sh backend_grid         # just the grid checksum gate
 #   ./scripts/verify.sh attack_grid          # just the adversarial-grid gate
 #   ./scripts/verify.sh elastic              # just the autoscaler interplay gate
@@ -85,6 +86,19 @@ scheduler_gate() {
     cargo test -q --offline --test differential --test layout_equivalence \
         --test determinism --test snapshot
     echo "   scheduler pins OK"
+}
+
+# Every pin on event delivery order in one step: the sim-core unit tests
+# and cross-backend proptests (wheel and timers against the reference
+# heap), the determinism, snapshot and allocation tests, the serial-epoch
+# goldens and the benchmark digests.
+queue_gate() {
+    echo "== queue: sim-core tests + every pin on event delivery order =="
+    cargo test -q --offline -p sim-core
+    cargo test -q --offline --test determinism --test snapshot --test alloc_steady
+    cargo test -q --offline -p cluster --test serial_epoch_golden
+    perf_digest_gate
+    echo "   queue pins OK"
 }
 
 # The per-backend figure grid (reduced fig6/fig11/fig14 on every
@@ -167,6 +181,7 @@ perf_digest_gate() {
 case "${1:-all}" in
     differential_smoke) differential_smoke; exit 0 ;;
     scheduler) scheduler_gate; exit 0 ;;
+    queue) queue_gate; exit 0 ;;
     backend_grid) backend_grid_gate; exit 0 ;;
     attack_grid) attack_grid_gate; exit 0 ;;
     elastic) elastic_gate; exit 0 ;;
