@@ -1,7 +1,7 @@
 //! The actuator: an elastic wrapper around the lockstep cluster.
 //!
 //! [`ElasticFleet`] owns a [`Cluster`] and advances it sample period by
-//! sample period. At each wheel-scheduled sample instant it drains the
+//! sample period. At each queued sample instant it drains the
 //! SLO window, feeds it to the [`SloController`], and actuates the
 //! decision **serially, between epochs**:
 //!
@@ -17,7 +17,7 @@
 //!   rounds run under the source, and the ledger's exactly-once fences
 //!   carry every request across the cutover.
 //!
-//! Because sampling rides the cluster's own event wheel and actuation
+//! Because sampling rides the cluster's own event queue and actuation
 //! happens in the serial gap between epochs, an elastic run is
 //! byte-identical at any `VSCALE_THREADS` — the determinism tests diff
 //! the full [`ElasticCurve`] JSON across thread counts.
@@ -98,7 +98,7 @@ impl ElasticFleet {
     /// Advances to `deadline`, sampling and actuating at every period
     /// boundary on the way. Callable repeatedly (e.g. drain loops).
     pub fn run_until(&mut self, deadline: SimTime) -> Result<(), SimError> {
-        // The wheel fires the sample *at* t; stepping one µs past it
+        // The queue fires the sample *at* t; stepping one µs past it
         // keeps `run_until(t)`'s exclusive deadline from stranding it.
         let eps = SimDuration::from_us(1);
         while self.next_sample < deadline {
@@ -121,7 +121,7 @@ impl ElasticFleet {
         let (st, w) = self
             .cluster
             .pop_slo_sample()
-            .expect("wheel sample due at every period boundary");
+            .expect("queued sample due at every period boundary");
         assert_eq!(st, t, "sample instant drift");
         // Transitions below happen at `t`; bill the interval before.
         self.bill(t);

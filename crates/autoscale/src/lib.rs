@@ -16,7 +16,7 @@
 //!   `Out` / `In` decisions out; EMA smoothing, dwell hysteresis with a
 //!   dead band, and post-action cooldown.
 //! - [`fleet`] — the actuator: wraps a `cluster::Cluster`, samples it
-//!   on its own event wheel, actuates decisions serially between
+//!   on its own event queue, actuates decisions serially between
 //!   lockstep epochs (activation + targeted migrations for scale-out,
 //!   evacuation + deferred retirement for scale-in), bills in-service
 //!   host-seconds, and emits the run's `metrics::ElasticCurve`.

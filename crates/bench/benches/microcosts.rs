@@ -6,19 +6,17 @@
 //! Mean/p50/p99 per call are printed as a table plus one JSON line per
 //! benchmark; `VSCALE_BENCH_SCALE=full` lengthens the timed phase.
 //!
-//! The `event_queue_churn_*` pair runs the same tick/IPI/timeout mix
-//! through both queue backends (timing wheel vs the reference binary
-//! heap) and reports `events_per_sec`, so `scripts/bench_snapshot.sh`
-//! records the wheel-vs-heap throughput ratio over time. The
-//! `event_queue_rearm_churn_*` pair measures keyed timers alone: 16 keys,
-//! each re-armed after it fires, once through `arm` and once as
-//! cancel-then-schedule on the wheel.
+//! `event_queue_churn` runs a tick/IPI/timeout mix through the event
+//! queue and reports `events_per_sec`, so `scripts/bench_snapshot.sh`
+//! records its throughput over time. The `event_queue_rearm_churn_*`
+//! pair measures keyed timers alone: 16 keys, each re-armed after it
+//! fires, once through `arm` and once as cancel-then-schedule.
 
 use std::hint::black_box;
 
 use guest_kernel::thread::{Looping, OneShot, ProgramCtx, ThreadAction, ThreadKind};
 use guest_kernel::{GuestConfig, GuestKernel, VcpuId};
-use sim_core::event::{EventHandle, EventQueue, EventQueueApi, HeapQueue};
+use sim_core::event::{EventHandle, EventQueue};
 use sim_core::fault::WatchdogConfig;
 use sim_core::ids::{GlobalVcpu, PcpuId};
 use sim_core::rng::SimRng;
@@ -131,8 +129,8 @@ const TAG_TIMEOUT: u32 = 13; // futex/IPI timeouts, usually cancelled
 
 /// Arms one timeout (100–500 ms out); at the cap, eagerly cancels the
 /// oldest armed one first — the re-arm pattern of a futex wait.
-fn arm_timeout<Q: EventQueueApi<u32>>(
-    q: &mut Q,
+fn arm_timeout(
+    q: &mut EventQueue<u32>,
     handles: &mut std::collections::VecDeque<EventHandle>,
     rng: &mut SimRng,
 ) {
@@ -146,8 +144,8 @@ fn arm_timeout<Q: EventQueueApi<u32>>(
 
 /// Primes `q` with the periodic sources plus a standing timeout
 /// population, mirroring a 4-pCPU / 8-vCPU overcommit scenario.
-fn churn_prime<Q: EventQueueApi<u32>>(
-    q: &mut Q,
+fn churn_prime(
+    q: &mut EventQueue<u32>,
     handles: &mut std::collections::VecDeque<EventHandle>,
     rng: &mut SimRng,
 ) {
@@ -167,8 +165,8 @@ fn churn_prime<Q: EventQueueApi<u32>>(
 /// re-arming/cancelling timeouts as they churn. The queue stays in steady
 /// state across calls, so the timing covers schedule + cancel + pop at a
 /// realistic pending population.
-fn churn_step<Q: EventQueueApi<u32>>(
-    q: &mut Q,
+fn churn_step(
+    q: &mut EventQueue<u32>,
     handles: &mut std::collections::VecDeque<EventHandle>,
     rng: &mut SimRng,
 ) -> u64 {
@@ -198,20 +196,12 @@ fn churn_step<Q: EventQueueApi<u32>>(
 }
 
 fn bench_event_queue_churn(r: &mut BenchRunner) {
-    let mut wheel: EventQueue<u32> = EventQueue::new();
-    let mut wheel_handles = std::collections::VecDeque::new();
-    let mut wheel_rng = SimRng::new(42);
-    churn_prime(&mut wheel, &mut wheel_handles, &mut wheel_rng);
-    r.bench_throughput("event_queue_churn_wheel", CHURN_POPS, || {
-        churn_step(&mut wheel, &mut wheel_handles, &mut wheel_rng)
-    });
-
-    let mut heap: HeapQueue<u32> = HeapQueue::new();
-    let mut heap_handles = std::collections::VecDeque::new();
-    let mut heap_rng = SimRng::new(42);
-    churn_prime(&mut heap, &mut heap_handles, &mut heap_rng);
-    r.bench_throughput("event_queue_churn_heap_baseline", CHURN_POPS, || {
-        churn_step(&mut heap, &mut heap_handles, &mut heap_rng)
+    let mut q: EventQueue<u32> = EventQueue::new();
+    let mut handles = std::collections::VecDeque::new();
+    let mut rng = SimRng::new(42);
+    churn_prime(&mut q, &mut handles, &mut rng);
+    r.bench_throughput("event_queue_churn", CHURN_POPS, || {
+        churn_step(&mut q, &mut handles, &mut rng)
     });
 }
 
@@ -219,7 +209,7 @@ fn bench_event_queue_churn(r: &mut BenchRunner) {
 const REARM_KEYS: usize = 16;
 
 /// Re-arms `key` at `t`: through the keyed timer when `handles` is
-/// `None`, else as cancel-then-schedule on the wheel.
+/// `None`, else as cancel-then-schedule.
 fn rearm(
     q: &mut EventQueue<u32>,
     handles: Option<&mut Vec<Option<EventHandle>>>,
@@ -266,7 +256,7 @@ fn rearm_churn_step(
 fn bench_event_queue_rearm_churn(r: &mut BenchRunner) {
     for (name, keyed) in [
         ("event_queue_rearm_churn_timer", true),
-        ("event_queue_rearm_churn_wheel", false),
+        ("event_queue_rearm_churn_schedule", false),
     ] {
         let mut q: EventQueue<u32> = if keyed {
             EventQueue::with_timers(REARM_KEYS)
@@ -358,9 +348,9 @@ fn bench_machine_steps(r: &mut BenchRunner) {
     // exits; each timed call advances a fixed 10 ms window of simulated
     // time. Unlike `machine_dispatch_supervised` (which rebuilds the
     // machine per call and therefore mixes setup into the figure), this
-    // measures the pure steady-state event loop: the wheel, the dispatch
-    // batching, the SoA scheduler state, and the compact one-cache-line
-    // events are the only things on the profile.
+    // measures the pure steady-state event loop: the event queue, the
+    // dispatch routing, the SoA scheduler state, and the compact events
+    // are the only things on the profile.
     let mut m = Machine::new(MachineConfig {
         n_pcpus: 4,
         seed: 101,

@@ -1,7 +1,7 @@
 //! The deterministic cross-host event loop.
 //!
 //! A [`Cluster`] composes N independent [`Machine`] hosts under one
-//! cluster-level timing wheel ([`EventQueue`]) that carries everything
+//! cluster-level event queue ([`EventQueue`]) that carries everything
 //! crossing host boundaries: the open-loop request stream arriving at
 //! the load balancer and the request deliveries it dispatches onto
 //! per-host links. Hosts advance in **lockstep epochs**:
@@ -36,7 +36,7 @@
 //! once, as a completion or a drop — survives crashes, restores, and
 //! migrations through three small per-backend counters:
 //!
-//! * `in_wheel`: deliveries scheduled on the cluster wheel but not yet
+//! * `in_queue`: deliveries scheduled on the cluster queue but not yet
 //!   fired. When a backend dies, that many future `Deliver` events are
 //!   stale; `stale` swallows them so they cannot double-inject.
 //! * `stale`: wire packets to forget (see above).
@@ -111,14 +111,14 @@ pub struct BackendSpec {
     pub reply_bytes: u64,
 }
 
-/// Everything crossing host boundaries rides the cluster wheel.
+/// Everything crossing host boundaries rides the cluster queue.
 enum NetMsg {
     /// The next request of an open-loop stream reaches the load
     /// balancer.
     Arrival { stream: usize },
     /// A dispatched request reaches its target host's NIC.
     Deliver { backend: usize },
-    /// A wheel-scheduled SLO sampling instant: drain the per-host
+    /// A queued SLO sampling instant: drain the per-host
     /// window accumulators into one [`SloWindow`] for the controller.
     SloSample,
 }
@@ -173,8 +173,8 @@ struct BackendSlot {
     seen_completions: usize,
     /// Drops already harvested from this backend's queue counter.
     seen_drops: u64,
-    /// Deliveries on the cluster wheel not yet fired.
-    in_wheel: u64,
+    /// Deliveries on the cluster queue not yet fired.
+    in_queue: u64,
     /// Future deliveries to swallow (scheduled before the backend died;
     /// their requests were re-dispatched).
     stale: u64,
@@ -291,7 +291,7 @@ impl Cluster {
             pending: VecDeque::new(),
             seen_completions: 0,
             seen_drops: 0,
-            in_wheel: 0,
+            in_queue: 0,
             stale: 0,
             skip: 0,
         });
@@ -398,10 +398,10 @@ impl Cluster {
     // SLO sampling and the elastic host lifecycle.
     // ------------------------------------------------------------------
 
-    /// Schedules a recurring SLO sampling event on the cluster wheel,
+    /// Schedules a recurring SLO sampling event on the cluster queue,
     /// every `period` starting one period from now. Each firing drains
     /// the per-host window accumulators into one [`SloWindow`] held for
-    /// [`Cluster::pop_slo_sample`]. Sampling rides the same wheel as
+    /// [`Cluster::pop_slo_sample`]. Sampling rides the same queue as
     /// arrivals, so sample instants interleave deterministically with
     /// the load at any `VSCALE_THREADS`.
     pub fn install_slo_sampler(&mut self, period: SimDuration) {
@@ -418,7 +418,7 @@ impl Cluster {
     }
 
     /// Drains the current partial SLO window immediately, without
-    /// waiting for the next wheel sample — the run-end flush that lets
+    /// waiting for the next queued sample — the run-end flush that lets
     /// an elastic run's aggregate ledger account for completions after
     /// the last sample instant.
     pub fn take_slo_window(&mut self) -> SloWindow {
@@ -545,7 +545,7 @@ impl Cluster {
             NetMsg::Deliver { backend } => {
                 {
                     let slot = &mut self.backends[backend];
-                    slot.in_wheel -= 1;
+                    slot.in_queue -= 1;
                     if slot.stale > 0 {
                         // The request this packet carried was re-queued
                         // when its backend died; forget the packet.
@@ -592,7 +592,7 @@ impl Cluster {
         self.queue
             .schedule(deliver_at, NetMsg::Deliver { backend: b });
         self.backends[b].pending.push_back(send);
-        self.backends[b].in_wheel += 1;
+        self.backends[b].in_queue += 1;
         self.lb.dispatched(b);
     }
 
@@ -613,8 +613,7 @@ impl Cluster {
         assert!(!self.hosts.is_empty(), "no hosts");
         while self.now < deadline {
             let epoch_end = (self.now + self.config.epoch).min(deadline);
-            // 1. Cross-host deliveries and LB routing due this epoch,
-            //    batch-drained (one wheel settle per distinct instant).
+            // 1. Cross-host deliveries and LB routing due this epoch.
             let lb_deadline = SimTime::from_ns(epoch_end.as_ns() - 1);
             while let Some((t, msg)) = self.queue.pop_next_until(lb_deadline) {
                 self.handle(t, msg);
@@ -861,7 +860,7 @@ impl Cluster {
         self.lb.set_health(backend, Health::Down);
         self.lb.clear(backend);
         let slot = &mut self.backends[backend];
-        slot.stale += slot.in_wheel;
+        slot.stale += slot.in_queue;
         let pending: Vec<SimTime> = slot.pending.drain(..).collect();
         self.robustness.requests_requeued += pending.len() as u64;
         let now = self.now;
@@ -944,7 +943,7 @@ impl Cluster {
                 continue;
             }
             // Size the replay fence: everything in-guest at the
-            // checkpoint plus deliveries still on the machine's wheel
+            // checkpoint plus deliveries still in the machine's queue
             // will be re-completed or re-dropped on replay, and every
             // one of those requests was either already served or
             // re-queued at the crash.
@@ -956,11 +955,11 @@ impl Cluster {
                 .machine
                 .guest(spec.dom)
                 .io_drops(spec.queue);
-            let wheel = self.hosts[host].machine.pending_io_items(spec.dom);
+            let queued = self.hosts[host].machine.pending_io_items(spec.dom);
             let slot = &mut self.backends[bidx];
             slot.seen_completions = completed;
             slot.seen_drops = dropped;
-            slot.skip = arrived - completed as u64 - dropped + wheel;
+            slot.skip = arrived - completed as u64 - dropped + queued;
             self.lb.set_health(bidx, Health::Healthy);
         }
         self.flush_parking();
@@ -1287,7 +1286,7 @@ impl Cluster {
         for _ in 0..n {
             let deliver_at = self.hosts[host].link.send_request(now, REQUEST_BYTES);
             self.queue.schedule(deliver_at, NetMsg::Deliver { backend });
-            self.backends[backend].in_wheel += 1;
+            self.backends[backend].in_queue += 1;
         }
     }
 

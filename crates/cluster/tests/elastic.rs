@@ -1,5 +1,5 @@
 //! The cluster-side plumbing the fleet autoscaler stands on: composable
-//! trace streams, the wheel-scheduled SLO sampler, the in-service host
+//! trace streams, the queued SLO sampler, the in-service host
 //! lifecycle, sparse host stepping, and the least-outstanding
 //! evacuation target picker.
 

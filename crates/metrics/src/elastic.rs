@@ -19,7 +19,7 @@ use sim_core::stats::Histogram;
 use sim_core::time::SimTime;
 
 /// One sampling window's raw fleet measurements, as drained from the
-/// cluster at a wheel-scheduled sample instant. Counters cover only the
+/// cluster at a queued sample instant. Counters cover only the
 /// window (they reset at each drain); `in_flight` is the instantaneous
 /// depth at the drain.
 #[derive(Clone, Debug, Default)]

@@ -35,7 +35,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use event::{EventHandle, EventQueue, SweepStats};
+pub use event::{EventHandle, EventQueue};
 pub use fault::{
     ChannelReadFault, DeliveryFault, Diagnostics, FaultConfig, FaultPlan, FaultStats, SimError,
     SimErrorKind, WatchdogConfig,

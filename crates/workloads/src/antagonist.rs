@@ -27,7 +27,7 @@
 //!   reconfigurations. Defense: freeze-rate hysteresis.
 //!
 //! Every program is a pure function of [`ProgramCtx::now`] and its own
-//! counters — phase-locking is computed from the timing wheel's clock,
+//! counters — phase-locking is computed from the event queue's clock,
 //! never wall time and never ambient entropy — so attack runs replay
 //! bit-identically at any `VSCALE_THREADS`.
 //!
@@ -378,7 +378,7 @@ impl ThreadProgram for StormWaiter {
 sim_core::snap_struct!(StormWaiter { waiting } skip { sem, mode });
 
 /// Square-wave demand: compute through one half-period, sleep through
-/// the other — phase-locked to the wheel clock so all oscillator
+/// the other — phase-locked to the queue clock so all oscillator
 /// threads flip together and the domain's consumption (hence every
 /// neighbor's measured extendability) swings rail to rail.
 struct Oscillator {

@@ -32,7 +32,7 @@ bench_json() {
 # none; regenerate deliberately with the matching scripts/bench_*.sh),
 # and to CHECKS, space-separated regexes that must each match a line
 # ("!regex": must match none). THREAD_DIFF=diff reruns at 1 thread and
-# requires identical bytes: every sweep rides the timing wheel.
+# requires identical bytes: every sweep rides the event queue.
 pinned_gate() {
     local bench="$1" seeds="$2" sumfile="$3" checks="$4" thread_diff="$5"
     local out="$tmp/$bench.t4" check list
@@ -89,8 +89,8 @@ scheduler_gate() {
 }
 
 # Every pin on event delivery order in one step: the sim-core unit tests
-# and cross-backend proptests (wheel and timers against the reference
-# heap), the determinism, snapshot and allocation tests, the serial-epoch
+# and proptests (the queue and its timers against a naive reference
+# model), the determinism, snapshot and allocation tests, the serial-epoch
 # goldens and the benchmark digests.
 queue_gate() {
     echo "== queue: sim-core tests + every pin on event delivery order =="

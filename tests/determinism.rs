@@ -136,7 +136,7 @@ fn faulted_run(cfg: vscale_repro::sim::fault::FaultConfig) -> (String, String, S
 
 /// A recovery-heavy run: doorbell drops driving the retransmit ladder,
 /// torn/stale serves driving reliable-read retries, and daemon crashes
-/// driving resyncs — all recovery timers live on the same timing wheel
+/// driving resyncs — all recovery timers live on the same event queue
 /// as the workload, so the trace must be bit-identical however the
 /// enclosing sweep is threaded.
 fn recovery_run(seed: u64) -> (String, String, String) {
