@@ -8,9 +8,10 @@
 //!    seeded [`Scenario`] (a Gen-produced op stream of ticks, wakes,
 //!    sleeps, yields, kicks and freezes) and checks structural sanity
 //!    after *every* op: one vCPU per pCPU, states agreeing with
-//!    occupancy, monotone run/wait totals, no frozen vCPU running, and
-//!    work conservation (no idle pCPU while unfrozen runnable work
-//!    waits).
+//!    occupancy, the event contract (each op's `Run`/`Desched` events
+//!    replay onto the pCPUs' occupancy), monotone run/wait totals, no
+//!    frozen vCPU running, and work conservation (no idle pCPU while
+//!    unfrozen runnable work waits).
 //! 2. **Shared conservation laws** — [`check_pair`] replays the same
 //!    scenario on two backends and compares the quantities every
 //!    work-conserving policy must agree on: with an identical runnable
@@ -246,6 +247,48 @@ fn check_structure<S: HypervisorSched>(s: &S, vcpus: &[GlobalVcpu]) -> Result<()
     Ok(())
 }
 
+/// The event contract (`xen_sched::api`): replayed over `shadow`, the
+/// vCPU each pCPU ran after the previous op, a `Desched` must name the
+/// pCPU's vCPU and a `Run` must land on an empty pCPU, and the result
+/// must be what `running_on` reports. The machine arms a pCPU's slice
+/// timer on `Run` and disarms it on `Desched`, so a missing or
+/// misdirected event would strand a slice end on an idle pCPU or leave
+/// a busy one without any.
+fn check_events<S: HypervisorSched>(
+    s: &S,
+    events: &[SchedEvent],
+    shadow: &mut [Option<GlobalVcpu>],
+) -> Result<(), String> {
+    for e in events {
+        match *e {
+            SchedEvent::Run { pcpu, vcpu } => {
+                let slot = &mut shadow[pcpu.index()];
+                if let Some(cur) = *slot {
+                    return Err(format!("Run of {vcpu} on {pcpu} while {cur} holds it"));
+                }
+                *slot = Some(vcpu);
+            }
+            SchedEvent::Desched { pcpu, vcpu } => {
+                let slot = &mut shadow[pcpu.index()];
+                if *slot != Some(vcpu) {
+                    return Err(format!(
+                        "Desched of {vcpu} from {pcpu}, which runs {slot:?}"
+                    ));
+                }
+                *slot = None;
+            }
+            SchedEvent::Idle { .. } => {}
+        }
+    }
+    for (p, &want) in shadow.iter().enumerate() {
+        let got = s.running_on(PcpuId(p));
+        if got != want {
+            return Err(format!("pcpu{p} runs {got:?} but its events say {want:?}"));
+        }
+    }
+    Ok(())
+}
+
 /// Work conservation: no pCPU may idle while an unfrozen vCPU waits
 /// runnable. All three shipped backends place wakes on idle pCPUs and
 /// steal on reschedule, so this holds after every op, not just at
@@ -280,6 +323,7 @@ pub fn replay<S: HypervisorSched>(scenario: &Scenario) -> Result<Replay, String>
     }
     let mut now = SimTime::ZERO;
     let mut events = Vec::new();
+    let mut shadow = vec![None; scenario.n_pcpus];
     let mut prev_run = SimDuration::ZERO;
     let mut prev_wait = SimDuration::ZERO;
     let name = S::backend_name();
@@ -345,6 +389,7 @@ pub fn replay<S: HypervisorSched>(scenario: &Scenario) -> Result<Replay, String>
             }
         }
         let ctx = |e: String| format!("[{name}] op {i} ({op:?}): {e}");
+        check_events(&s, &events, &mut shadow).map_err(ctx)?;
         check_structure(&s, &vcpus).map_err(ctx)?;
         check_work_conserving(&s, &vcpus).map_err(ctx)?;
         // Totals must be monotone.
@@ -371,6 +416,7 @@ pub fn replay<S: HypervisorSched>(scenario: &Scenario) -> Result<Replay, String>
     for p in 0..scenario.n_pcpus {
         events.clear();
         s.on_tick(PcpuId(p), now, &mut events);
+        check_events(&s, &events, &mut shadow).map_err(|e| format!("[{name}] settle: {e}"))?;
     }
     check_structure(&s, &vcpus).map_err(|e| format!("[{name}] settle: {e}"))?;
     check_work_conserving(&s, &vcpus).map_err(|e| format!("[{name}] settle: {e}"))?;
@@ -539,9 +585,6 @@ impl HypervisorSched for BrokenFreezeScheduler {
     }
     fn vcpu_state(&self, gv: GlobalVcpu) -> VcpuState {
         self.0.vcpu_state(gv)
-    }
-    fn pcpu_gen(&self, pcpu: PcpuId) -> u64 {
-        self.0.pcpu_gen(pcpu)
     }
     fn domain_wait_total(&self, dom: DomId) -> SimDuration {
         self.0.domain_wait_total(dom)

@@ -32,9 +32,11 @@
 //!
 //! - Exactly one [`SchedEvent::Run`] is emitted each time a vCPU is
 //!   placed on a pCPU, and a [`SchedEvent::Desched`] before the same
-//!   vCPU is placed elsewhere or the pCPU goes to something else.
-//! - [`HypervisorSched::pcpu_gen`] bumps on *every* assignment change of
-//!   that pCPU — the machine uses it to cancel stale slice-end timers.
+//!   vCPU is placed elsewhere or the pCPU goes to something else. So a
+//!   pCPU's events alternate `Run`, `Desched`, `Run`, … and name the
+//!   same vCPU in each pair; the machine arms a pCPU's slice timer on
+//!   `Run` and disarms it on `Desched`, and `testkit::differential`
+//!   checks this after every op.
 //! - A frozen vCPU keeps running until the guest blocks it
 //!   ([`HypervisorSched::set_frozen`] only changes accounting — the
 //!   paper's Algorithm 2 splits freezing into hypervisor-side accounting
@@ -181,9 +183,6 @@ pub trait HypervisorSched: Snap {
 
     /// The state of a vCPU.
     fn vcpu_state(&self, gv: GlobalVcpu) -> VcpuState;
-
-    /// The assignment generation of `pcpu` (bumps on every change).
-    fn pcpu_gen(&self, pcpu: PcpuId) -> u64;
 
     /// Sum of waiting time across all vCPUs of `dom` (Figure 9 metric).
     fn domain_wait_total(&self, dom: DomId) -> SimDuration;

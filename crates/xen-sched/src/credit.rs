@@ -869,19 +869,30 @@ mod tests {
         );
     }
 
+    /// Every assignment change of a pCPU is an event: the machine arms
+    /// and disarms the pCPU's slice timer from these alone.
     #[test]
-    fn gen_bumps_on_assignment_changes() {
+    fn assignment_changes_emit_desched_then_run() {
         let mut s = sched(1);
         s.create_domain(256, 2, None, None);
-        let g0 = s.pcpu_gen(PcpuId(0));
-        s.vcpu_wake(gv(0, 0), SimTime::ZERO, &mut Vec::new());
-        assert!(s.pcpu_gen(PcpuId(0)) > g0);
-        let g1 = s.pcpu_gen(PcpuId(0));
-        s.vcpu_wake(gv(0, 1), SimTime::ZERO, &mut Vec::new());
-        // No preemption (same prio): gen unchanged.
-        assert_eq!(s.pcpu_gen(PcpuId(0)), g1);
-        s.slice_expired(PcpuId(0), SimTime::from_ms(30), &mut Vec::new());
-        assert!(s.pcpu_gen(PcpuId(0)) > g1);
+        let p0 = PcpuId(0);
+        let ev = collect(|ev| s.vcpu_wake(gv(0, 0), SimTime::ZERO, ev));
+        assert!(
+            matches!(ev[..], [SchedEvent::Run { pcpu, vcpu }] if pcpu == p0 && vcpu == gv(0, 0)),
+            "the first wake places the vCPU: {ev:?}"
+        );
+        // No preemption (same prio): no assignment change, no event.
+        let ev = collect(|ev| s.vcpu_wake(gv(0, 1), SimTime::ZERO, ev));
+        assert!(ev.is_empty(), "a same-priority wake only queues: {ev:?}");
+        let ev = collect(|ev| s.slice_expired(p0, SimTime::from_ms(30), ev));
+        assert!(
+            matches!(
+                ev[..],
+                [SchedEvent::Desched { pcpu: d, vcpu: out }, SchedEvent::Run { pcpu: r, vcpu: inn }]
+                    if d == p0 && out == gv(0, 0) && r == p0 && inn == gv(0, 1)
+            ),
+            "slice expiry deschedules, then runs the waiter: {ev:?}"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! dynamic-fractional backends.
 //!
 //! The three backends dispatch identically. A vCPU is placed on an empty
-//! pCPU with a `Run` event and a generation bump, burned on every tick
+//! pCPU with a `Run` event, burned on every tick
 //! and deschedule, and requeued on preemption, slice expiry and yield. A
 //! queued vCPU that blocks closes its waiting span. What differs is
 //! policy, and [`Policy`] names only those hooks:
@@ -155,9 +155,6 @@ pub(crate) struct Pcpu<Q> {
     pub(crate) current: Option<GlobalVcpu>,
     /// When the current vCPU was placed (ratelimit + slice bookkeeping).
     pub(crate) run_since: SimTime,
-    /// Monotonic generation, bumped on every assignment change; lets the
-    /// machine invalidate stale slice-end events.
-    pub(crate) gen: u64,
     /// Context switches performed on this pCPU.
     pub(crate) switches: u64,
 }
@@ -166,7 +163,6 @@ sim_core::snap_struct!(Pcpu<Q: Snap> {
     queue,
     current,
     run_since,
-    gen,
     switches,
 });
 
@@ -416,7 +412,6 @@ impl<P: Policy> Pool<P> {
         let p = &mut self.pcpus[pcpu.index()];
         p.current = Some(gv);
         p.run_since = now;
-        p.gen += 1;
         p.switches += 1;
         events.push(SchedEvent::Run { pcpu, vcpu: gv });
     }
@@ -436,7 +431,6 @@ impl<P: Policy> Pool<P> {
         let Some(gv) = p.current.take() else {
             return;
         };
-        p.gen += 1;
         events.push(SchedEvent::Desched { pcpu, vcpu: gv });
         if requeue {
             self.queue(gv, pcpu, now);
@@ -624,10 +618,6 @@ impl<P: Policy> HypervisorSched for Pool<P> {
 
     fn vcpu_state(&self, gv: GlobalVcpu) -> VcpuState {
         self.hot[gv].state
-    }
-
-    fn pcpu_gen(&self, pcpu: PcpuId) -> u64 {
-        self.pcpus[pcpu.index()].gen
     }
 
     fn domain_wait_total(&self, dom: DomId) -> SimDuration {

@@ -85,7 +85,22 @@ fn fold_event(h: &mut Fnv, e: &SchedEvent) {
     }
 }
 
-fn fold_state<S: HypervisorSched>(h: &mut Fnv, s: &S, vcpus: &[GlobalVcpu]) {
+/// Counts each pCPU's assignment changes: one per `Run` or `Desched`
+/// event. The checksums were captured when the pools kept this count as
+/// a per-pCPU generation, so [`fold_state`] folds the count replayed
+/// from the event stream in its place.
+fn count_assignments(assignments: &mut [u64], events: &[SchedEvent]) {
+    for e in events {
+        match *e {
+            SchedEvent::Run { pcpu, .. } | SchedEvent::Desched { pcpu, .. } => {
+                assignments[pcpu.index()] += 1;
+            }
+            SchedEvent::Idle { .. } => {}
+        }
+    }
+}
+
+fn fold_state<S: HypervisorSched>(h: &mut Fnv, s: &S, vcpus: &[GlobalVcpu], assignments: &[u64]) {
     for &gv in vcpus {
         match s.vcpu_state(gv) {
             VcpuState::Running { pcpu, since } => {
@@ -108,13 +123,14 @@ fn fold_state<S: HypervisorSched>(h: &mut Fnv, s: &S, vcpus: &[GlobalVcpu]) {
         h.u64(s.vcpu_wait_total(gv).as_ns());
         h.u64(s.scheduled_count(gv));
     }
-    for p in 0..s.n_pcpus() {
+    debug_assert_eq!(assignments.len(), s.n_pcpus());
+    for (p, &changes) in assignments.iter().enumerate() {
         match s.running_on(PcpuId(p)) {
             Some(gv) => fold_gv(h, gv),
             None => h.u64(u64::MAX),
         }
         h.u64(s.switches(PcpuId(p)));
-        h.u64(s.pcpu_gen(PcpuId(p)));
+        h.u64(changes);
     }
 }
 
@@ -169,6 +185,7 @@ fn replay_folded<S: HypervisorSched>(
     let mut s = build::<S>(cfg, cap, scenario);
     let mut now = SimTime::ZERO;
     let mut events = Vec::new();
+    let mut assignments = vec![0; scenario.n_pcpus];
     for (i, &op) in scenario.ops.iter().enumerate() {
         now += OP_STEP;
         events.clear();
@@ -234,7 +251,8 @@ fn replay_folded<S: HypervisorSched>(
         for e in &events {
             fold_event(h, e);
         }
-        fold_state(h, &s, &vcpus);
+        count_assignments(&mut assignments, &events);
+        fold_state(h, &s, &vcpus, &assignments);
         for d in 0..scenario.domains.len() {
             h.u64(s.domain_run_total(DomId(d)).as_ns());
             h.u64(s.domain_wait_total(DomId(d)).as_ns());
@@ -276,6 +294,7 @@ fn migrated_checksum<S: HypervisorSched>(scenario: &Scenario) -> u64 {
     let vcpus = vcpu_list(scenario);
     let mut twin = build::<S>(&cfg, None, scenario);
     let mut events = Vec::new();
+    let mut assignments = vec![0; scenario.n_pcpus];
     for d in (0..n_domains).map(DomId) {
         let export = s.export_domain(d);
         for x in &export.vcpus {
@@ -288,7 +307,8 @@ fn migrated_checksum<S: HypervisorSched>(scenario: &Scenario) -> u64 {
     for e in &events {
         fold_event(&mut h, e);
     }
-    fold_state(&mut h, &twin, &vcpus);
+    count_assignments(&mut assignments, &events);
+    fold_state(&mut h, &twin, &vcpus, &assignments);
     now += OP_STEP;
     events.clear();
     for p in (0..scenario.n_pcpus).map(PcpuId) {
@@ -297,7 +317,8 @@ fn migrated_checksum<S: HypervisorSched>(scenario: &Scenario) -> u64 {
     for e in &events {
         fold_event(&mut h, e);
     }
-    fold_state(&mut h, &twin, &vcpus);
+    count_assignments(&mut assignments, &events);
+    fold_state(&mut h, &twin, &vcpus, &assignments);
     fold_domains(&mut h, &twin, n_domains);
     h.0
 }
