@@ -13,6 +13,7 @@
 #   ./scripts/verify.sh elastic              # just the autoscaler interplay gate
 #   ./scripts/verify.sh machine_bench        # just the throughput floor gate
 #   ./scripts/verify.sh perf_digests         # just the benchmark output digests
+#   ./scripts/verify.sh perf_counts          # just the benchmark's traced per-layer counts
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,6 +99,7 @@ queue_gate() {
     cargo test -q --offline --test determinism --test snapshot --test alloc_steady
     cargo test -q --offline -p cluster --test serial_epoch_golden
     perf_digest_gate
+    perf_counts_gate
     echo "   queue pins OK"
 }
 
@@ -178,6 +180,36 @@ perf_digest_gate() {
     done < scripts/perf_digests.txt
 }
 
+# One traced episode pair of each benchmark workload at seed 3 must
+# print the per-layer counts pinned in scripts/perf_counts.txt. Output
+# lines are simulated outputs and must never move; encoding lines may be
+# re-pinned, with the move recorded. Every drifting line is printed
+# before the gate fails.
+perf_counts_gate() {
+    echo "== perf counts: every traced per-layer count must match scripts/perf_counts.txt =="
+    local kind workload metric want got bad=0 ran=" "
+    while read -r kind workload metric want; do
+        case "$kind" in ''|'#'*) continue ;; esac
+        case "$ran" in
+            *" $workload "*) ;;
+            *)
+                bash perf/run.sh --workload "$workload" --seed 3 --seconds 0 --trace 1 \
+                    < /dev/null > "$tmp/counts.$workload"
+                ran="$ran$workload "
+                ;;
+        esac
+        got="$(sed -n "s/^metric $metric \([^ ]*\) .*/\1/p" "$tmp/counts.$workload")"
+        if [ "$got" != "$want" ]; then
+            echo "perf $workload $kind $metric drifted from scripts/perf_counts.txt: want $want got ${got:-nothing}" >&2
+            bad=1
+        fi
+    done < scripts/perf_counts.txt
+    if [ "$bad" != 0 ]; then
+        exit 1
+    fi
+    echo "   per-layer counts OK:$ran"
+}
+
 case "${1:-all}" in
     differential_smoke) differential_smoke; exit 0 ;;
     scheduler) scheduler_gate; exit 0 ;;
@@ -187,6 +219,7 @@ case "${1:-all}" in
     elastic) elastic_gate; exit 0 ;;
     machine_bench) machine_bench_gate; exit 0 ;;
     perf_digests) perf_digest_gate; exit 0 ;;
+    perf_counts) perf_counts_gate; exit 0 ;;
     all) ;;
     *) echo "unknown verify target: $1" >&2; exit 2 ;;
 esac
@@ -249,4 +282,5 @@ backend_grid_gate
 attack_grid_gate
 machine_bench_gate
 perf_digest_gate
+perf_counts_gate
 echo "== verify: OK =="
