@@ -269,15 +269,20 @@ struct GuestDomain {
     hotplug: Option<HotplugModel>,
     /// (time, active vCPUs) trace for Figure 8.
     active_trace: Vec<(SimTime, usize)>,
-    /// I/O request arrival times (client-side record).
+    /// I/O request arrival times (client-side record) not yet taken by
+    /// `Machine::take_io`; a domain nobody takes from keeps them all.
     io_arrivals: Vec<SimTime>,
-    /// Times each request's interrupt reached a handler (≈ accept).
+    /// Times each untaken request's interrupt reached a handler
+    /// (≈ accept).
     io_deliveries: Vec<SimTime>,
-    /// Times each reply finished serializing onto the wire.
+    /// Times each untaken reply finished serializing onto the wire.
     nic_completions: Vec<SimTime>,
+    /// Entries taken out of `io_arrivals`.
+    arrivals_taken: u64,
+    /// Entries taken out of `nic_completions`.
+    completions_taken: u64,
     /// NIC transmit queue occupancy.
     nic_busy_until: SimTime,
-    nic_seq: u64,
     exited_threads: u64,
     /// Seq/ack doorbell state per port (parallel to `port_pending`).
     doorbells: Vec<DoorbellLink>,
@@ -544,8 +549,9 @@ impl<S: HypervisorSched> Machine<S> {
             io_arrivals: Vec::new(),
             io_deliveries: Vec::new(),
             nic_completions: Vec::new(),
+            arrivals_taken: 0,
+            completions_taken: 0,
             nic_busy_until: SimTime::ZERO,
-            nic_seq: 0,
             exited_threads: 0,
             doorbells: Vec::new(),
             retx_handles: Vec::new(),
@@ -610,11 +616,40 @@ impl<S: HypervisorSched> Machine<S> {
         &self.guests[dom.index()].active_trace
     }
 
-    /// Client-observed I/O logs: (arrivals, interrupt deliveries, reply
-    /// completions).
+    /// Client-observed I/O logs not yet taken by [`Machine::take_io`]:
+    /// (arrivals, interrupt deliveries, reply completions), each in time
+    /// order. On a domain nobody takes from, these are its full history.
     pub fn io_logs(&self, dom: DomId) -> (&[SimTime], &[SimTime], &[SimTime]) {
         let g = &self.guests[dom.index()];
         (&g.io_arrivals, &g.io_deliveries, &g.nic_completions)
+    }
+
+    /// Hands `f` the reply-completion times of `dom` not yet taken, in
+    /// time order, then forgets every untaken entry of its three I/O
+    /// logs. The logs keep their capacity, so a consumer that takes
+    /// every epoch holds them at one epoch's entries without
+    /// reallocating. [`Machine::io_counts`] keeps the lifetime totals.
+    pub fn take_io(&mut self, dom: DomId, mut f: impl FnMut(SimTime)) {
+        let g = &mut self.guests[dom.index()];
+        for &c in &g.nic_completions {
+            f(c);
+        }
+        g.arrivals_taken += g.io_arrivals.len() as u64;
+        g.completions_taken += g.nic_completions.len() as u64;
+        g.io_arrivals.clear();
+        g.io_deliveries.clear();
+        g.nic_completions.clear();
+    }
+
+    /// Lifetime I/O totals of `dom`, taken or not: (requests arrived,
+    /// replies completed). They travel in checkpoints and migration
+    /// images, so a restore or a cutover continues them.
+    pub fn io_counts(&self, dom: DomId) -> (u64, u64) {
+        let g = &self.guests[dom.index()];
+        (
+            g.arrivals_taken + g.io_arrivals.len() as u64,
+            g.completions_taken + g.nic_completions.len() as u64,
+        )
     }
 
     /// Aggregate statistics for `dom`.
@@ -1351,7 +1386,6 @@ impl<S: HypervisorSched> Machine<S> {
                 let wire = SimDuration::from_ns(bytes * 8 * 1_000_000_000 / self.config.nic_bps);
                 let start = g.nic_busy_until.max(now);
                 g.nic_busy_until = start + wire;
-                g.nic_seq += 1;
                 self.queue.schedule(g.nic_busy_until, Ev::nic_drained(dom));
             }
             GuestEffect::SleepUntil { tid, wake_at } => {
@@ -2022,8 +2056,9 @@ sim_core::snap_struct!(GuestDomain "guest" {
     io_arrivals,
     io_deliveries,
     nic_completions,
+    arrivals_taken,
+    completions_taken,
     nic_busy_until,
-    nic_seq,
     exited_threads,
     doorbells: twin "doorbell count differs from twin",
     retx_handles: presence "retransmit-port count differs from twin",
@@ -2295,7 +2330,7 @@ impl<S: HypervisorSched> Machine<S> {
 
     /// Requests injected for `dom` that are still in the event queue
     /// (scheduled `IoArrival` items not yet landed in an I/O queue).
-    /// Together with the I/O logs this counts the domain's exact
+    /// Together with [`Machine::io_counts`] this counts the domain's exact
     /// in-flight request cohort — what a cold restore will re-serve and
     /// the fleet ledger must therefore discount to stay exactly-once.
     ///
@@ -2637,6 +2672,68 @@ mod tests {
         }
         // 16 KB on 1 GbE needs ~131 µs of wire time after processing.
         assert!(nic[0].since(del[0]) >= SimDuration::from_us(100));
+    }
+
+    /// `take_io` hands over the untaken reply completions in time order
+    /// and forgets every untaken entry, while `io_counts` keeps the
+    /// lifetime totals through checkpoint/restore and extract/install.
+    #[test]
+    fn take_io_hands_replies_in_order_and_counts_travel_in_images() {
+        // Four one-item requests 1 ms apart, served by one worker; a
+        // twin built without them is an idle landing slot.
+        let build = |inject: bool| {
+            let mut m = Machine::new(MachineConfig {
+                n_pcpus: 2,
+                ..MachineConfig::default()
+            });
+            let d = m.add_domain(DomainSpec::fixed(2));
+            let q = m.guest_mut(d).new_io_queue();
+            let port = m.bind_io_port(d, q, VcpuId(0));
+            let serve = [
+                ThreadAction::IoWait(q),
+                ThreadAction::Compute(SimDuration::from_us(50)),
+                ThreadAction::NicSend { bytes: 16_384 },
+            ];
+            let worker = m
+                .guest_mut(d)
+                .spawn(ThreadKind::User, Box::new(Script::new(serve.repeat(4))));
+            m.start_thread(d, worker);
+            if inject {
+                for i in 0..4 {
+                    m.inject_io(d, port, SimTime::from_ms(1 + i), 1);
+                }
+            }
+            (m, d)
+        };
+        let (mut m, d) = build(true);
+        m.run_until(SimTime::from_us(2_500));
+        let mut early = Vec::new();
+        m.take_io(d, |c| early.push(c));
+        assert_eq!(early.len(), 2, "two replies by 2.5 ms");
+        assert!(early[0] < early[1], "replies out of order: {early:?}");
+        let (arr, del, nic) = m.io_logs(d);
+        assert!(arr.is_empty() && del.is_empty() && nic.is_empty());
+        assert_eq!(m.io_counts(d), (2, 2), "taking keeps the totals");
+
+        let mut restored = build(true).0;
+        restored.restore(&m.checkpoint());
+        assert_eq!(restored.io_counts(d), (2, 2));
+
+        let image = m.extract_vm(d);
+        let mut landed = build(false).0;
+        landed.run_until(m.now());
+        let _idle_shell = landed.extract_vm(d);
+        landed.install_vm(d, &image);
+        assert_eq!(landed.io_counts(d), (2, 2));
+
+        for host in [&mut restored, &mut landed] {
+            host.run_until(SimTime::from_ms(10));
+            assert_eq!(host.io_counts(d), (4, 4));
+            let mut late = Vec::new();
+            host.take_io(d, |c| late.push(c));
+            assert_eq!(late.len(), 2, "only the replies after the image");
+            assert!(early[1] < late[0] && late[0] < late[1], "{late:?}");
+        }
     }
 
     #[test]
