@@ -327,11 +327,6 @@ impl Cluster {
         self.spares.len()
     }
 
-    /// The host's machine (e.g. for workload installation before a run).
-    pub fn machine_mut(&mut self, host: usize) -> &mut Machine {
-        &mut self.hosts[host].machine
-    }
-
     /// Read access to a host's machine.
     pub fn machine(&self, host: usize) -> &Machine {
         &self.hosts[host].machine

@@ -554,11 +554,6 @@ impl GuestKernel {
         self.vcpus[v.index()].current
     }
 
-    /// Whether `v` is pv-blocked (yielded by a pv-spinlock).
-    pub fn is_pv_blocked(&self, v: VcpuId) -> bool {
-        self.vcpus[v.index()].pv_blocked
-    }
-
     /// Whether a [`GuestEffect::VcpuIdle`] for `v` is still valid: a wake
     /// may have raced in between emission and routing, in which case the
     /// vCPU must keep its pCPU.

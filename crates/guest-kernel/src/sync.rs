@@ -328,11 +328,6 @@ impl Semaphore {
             }
         }
     }
-
-    /// Removes a waiter without waking it (thread exit during shutdown).
-    pub fn remove_waiter(&mut self, tid: ThreadId) {
-        self.waiters.retain(|&t| t != tid);
-    }
 }
 
 /// The table of all user-level sync objects in one guest.

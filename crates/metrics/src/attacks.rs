@@ -34,12 +34,6 @@ pub struct AttackSample {
 }
 
 impl AttackSample {
-    /// Total defense actions recorded in this cell — "did the defense
-    /// actually engage" rather than merely being configured.
-    pub fn defense_actions(&self) -> u64 {
-        self.kicks_throttled + self.reconfigs_suppressed + self.ticks_jittered
-    }
-
     /// Stable single-line JSON object, fields in declaration order.
     pub fn to_json(&self) -> String {
         format!(

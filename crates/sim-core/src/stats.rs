@@ -5,8 +5,6 @@
 //! - [`Cdf`] — exact empirical CDF built from retained samples, used where
 //!   the paper plots CDFs (e.g. Figure 5, hotplug latency).
 
-use crate::time::SimDuration;
-
 /// Streaming summary statistics (Welford's online algorithm).
 #[derive(Clone, Debug, Default)]
 pub struct OnlineStats {
@@ -37,11 +35,6 @@ impl OnlineStats {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Adds a duration observation, in microseconds.
-    pub fn record_us(&mut self, d: SimDuration) {
-        self.record(d.as_us_f64());
     }
 
     /// Number of observations.
@@ -172,11 +165,6 @@ impl Histogram {
             let idx = self.bucket_for(value);
             self.buckets[idx] += 1;
         }
-    }
-
-    /// Records a duration in nanoseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_ns());
     }
 
     /// Number of recorded values.

@@ -149,11 +149,6 @@ pub fn install<S: HypervisorSched>(
     AdaptiveRun { threads }
 }
 
-/// The work an adaptive run performs, for throughput accounting.
-pub fn total_work(cfg: &AdaptiveConfig) -> SimDuration {
-    cfg.work_per_iter * u64::from(cfg.iterations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
