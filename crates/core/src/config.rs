@@ -1,8 +1,7 @@
 //! Machine and domain configuration.
 
-use guest_kernel::{GuestConfig, HotplugRetryPolicy};
+use guest_kernel::GuestConfig;
 use sim_core::time::SimDuration;
-use xen_sched::channel::RetransmitPolicy;
 use xen_sched::CreditConfig;
 
 use crate::daemon::DaemonConfig;
@@ -43,9 +42,6 @@ pub struct MachineConfig {
     pub ipi_latency: SimDuration,
     /// NIC line rate in bits per second (paper: 1 GbE).
     pub nic_bps: u64,
-    /// Self-healing knobs: retransmit, retry, heartbeat, and hotplug
-    /// backoff parameters of the recovery protocols.
-    pub recovery: RecoveryConfig,
     /// Scheduler-attack defenses. All off by default: the defaults
     /// reproduce the paper's (attackable) behavior byte for byte.
     pub defense: DefenseConfig,
@@ -59,7 +55,6 @@ impl Default for MachineConfig {
             seed: 0x5ca1e,
             ipi_latency: SimDuration::from_us(5),
             nic_bps: 1_000_000_000,
-            recovery: RecoveryConfig::default(),
             defense: DefenseConfig::default(),
         }
     }
@@ -112,42 +107,6 @@ impl DefenseConfig {
     /// True when any defense is active.
     pub fn any(&self) -> bool {
         self.exact_burn || self.tick_jitter || self.kick_throttle || self.freeze_dwell > 0
-    }
-}
-
-/// Parameters of the recovery protocols layered over fault injection.
-///
-/// Every bound here trades detection latency against overhead under a
-/// healthy system; the defaults keep the fault-free figures untouched
-/// (nothing fires without an injected fault or a genuinely silent daemon)
-/// while bounding worst-case staleness under sustained injection.
-#[derive(Clone, Copy, Debug)]
-pub struct RecoveryConfig {
-    /// Doorbell retransmit timer: RTO, backoff cap, attempt budget. The
-    /// default ladder (0.5 + 1 + 2 + 2 ms) resolves a fully dropped
-    /// doorbell well inside the injector's 10 ms re-scan bound.
-    pub retransmit: RetransmitPolicy,
-    /// Extra channel-read attempts after a torn/stale serve before the
-    /// daemon falls back to the last-good snapshot.
-    pub read_retry_budget: u32,
-    /// Daemon periods without a valid extendability update before the
-    /// balancer's fail-safe unfreezes every vCPU (0 disables). 12 periods
-    /// = 120 ms at the default 10 ms cadence: far above the worst
-    /// contention-induced gap observed fault-free, far below a human
-    /// noticing a wedged daemon.
-    pub heartbeat_ticks: u32,
-    /// Backoff between retries of aborted hotplug removals.
-    pub hotplug_retry: HotplugRetryPolicy,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            retransmit: RetransmitPolicy::default(),
-            read_retry_budget: 2,
-            heartbeat_ticks: 12,
-            hotplug_retry: HotplugRetryPolicy::default(),
-        }
     }
 }
 
