@@ -12,7 +12,7 @@
 use sim_core::fault::FaultConfig;
 use sim_core::time::SimDuration;
 use sim_core::time::SimTime;
-use testkit::parallel::run_seeds_parallel_checked;
+use testkit::parallel::run_items_parallel_checked;
 use vscale::config::SystemConfig;
 use vscale_bench::experiment::seeds_from_env;
 use workloads::npb::NpbApp;
@@ -49,7 +49,7 @@ fn main() {
         ..workloads::npb::app("ep").expect("ep is in NPB_APPS")
     };
     let seeds = seeds_from_env();
-    let results = run_seeds_parallel_checked(&seeds, |s| {
+    let results = run_items_parallel_checked(&seeds, |&s| {
         let (mut m, vm, _bg) = vscale_bench::experiment::build_host(SystemConfig::VScale, 2, s);
         m.set_fault_plan(cfg);
         let _run = workloads::npb::install(&mut m, vm, app, 2, SpinPolicy::Default);
@@ -71,7 +71,7 @@ fn main() {
         ))
     });
     for (seed, r) in seeds.iter().zip(&results) {
-        // run_seeds_parallel_checked isolates a panicking seed; the
+        // run_items_parallel_checked isolates a panicking seed; the
         // closure's own Result folds in the same way, so one bad seed
         // prints an error line instead of sinking the sweep.
         match r {

@@ -2,7 +2,7 @@
 //!
 //! One fixed workload (the chaos-smoke scenario) swept over a ladder of
 //! fault rates, each rate replayed over the same seeds via
-//! `run_seeds_parallel`. Rate 0 is the golden baseline; every other
+//! `run_items_parallel_checked`. Rate 0 is the golden baseline; every other
 //! point reports its completion-time deviation from it (ppm) plus the
 //! recovery-protocol counters that bounded the damage. Everything
 //! printed except the closing `wall_ms` session line is
@@ -13,7 +13,7 @@ use metrics::{RecoveryCounters, ResilienceCurve, ResiliencePoint};
 use sim_core::fault::FaultConfig;
 use sim_core::time::SimDuration;
 use sim_core::time::SimTime;
-use testkit::parallel::run_seeds_parallel_checked;
+use testkit::parallel::run_items_parallel_checked;
 use vscale::config::SystemConfig;
 use vscale::machine::DomainStats;
 use vscale_bench::experiment::seeds_from_env;
@@ -75,7 +75,7 @@ fn main() {
     let mut base_us = 0u64;
     for rate in RATES {
         let cfg = plan(rate);
-        let results = run_seeds_parallel_checked(&seeds, |s| {
+        let results = run_items_parallel_checked(&seeds, |&s| {
             let (mut m, vm, _bg) = vscale_bench::experiment::build_host(SystemConfig::VScale, 2, s);
             m.set_fault_plan(cfg);
             let _run = workloads::npb::install(&mut m, vm, app, 2, SpinPolicy::Default);

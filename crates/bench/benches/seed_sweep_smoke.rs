@@ -6,9 +6,9 @@
 //! `scripts/verify.sh` runs this twice (`VSCALE_THREADS=1` vs `=4`) and
 //! diffs the output with the `wall_ms` session line stripped; every
 //! other byte must be identical, which is the byte-stability contract of
-//! `testkit::parallel::run_seeds_parallel`.
+//! `testkit::parallel::run_items_parallel`.
 
-use testkit::parallel::run_seeds_parallel;
+use testkit::parallel::run_items_parallel;
 use vscale::config::SystemConfig;
 use vscale_bench::experiment::{npb_experiment, seeds_from_env, ExperimentScale};
 use workloads::npb::NpbApp;
@@ -23,7 +23,7 @@ fn main() {
         ..workloads::npb::app("ep").expect("ep is in NPB_APPS")
     };
     let seeds = seeds_from_env();
-    let results = run_seeds_parallel(&seeds, |s| {
+    let results = run_items_parallel(&seeds, |&s| {
         npb_experiment(
             SystemConfig::VScale,
             app,

@@ -13,10 +13,10 @@
 //! - [`mod@bench`] — a mini benchmark runner: warmup, batched timed
 //!   iterations, mean/p50/p99 via `sim-core::stats`, and table + JSON
 //!   output honoring `VSCALE_BENCH_SCALE`.
-//! - [`parallel`] — a `std::thread`-scoped seed-sweep runner
-//!   ([`parallel::run_seeds_parallel`], honoring `VSCALE_THREADS`) that
-//!   merges results in seed order so sweep output is byte-stable at any
-//!   thread count.
+//! - [`parallel`] — a `std::thread`-scoped work-list runner
+//!   ([`parallel::run_items_parallel`], honoring `VSCALE_THREADS`) that
+//!   merges results in item order (seed order, for a seed sweep) so sweep
+//!   output is byte-stable at any thread count.
 //!
 //! # Shrinking model
 //!

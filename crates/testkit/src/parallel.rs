@@ -1,4 +1,4 @@
-//! A seed-sweep parallel runner for the multi-seed bench targets.
+//! A parallel work-list runner for the multi-seed bench targets.
 //!
 //! Every figure/table experiment averages a handful of seeds, and each
 //! seed's simulation is single-threaded and deterministic. The seeds are
@@ -6,9 +6,10 @@
 //! threads (`std::thread::scope`, no external executor) while keeping
 //! the *output* independent of the thread count:
 //!
-//! - each seed runs exactly the closure it would run serially, on one
-//!   thread, with no shared mutable state;
-//! - results land in a pre-sized slot table indexed by seed position, so
+//! - each item (a seed, or a config × app × seed tuple) runs exactly the
+//!   closure it would run serially, on one thread, with no shared
+//!   mutable state;
+//! - results land in a pre-sized slot table indexed by item position, so
 //!   the returned `Vec` is always in input order — JSON emitted from it
 //!   is byte-stable whether `VSCALE_THREADS` is 1 or 64;
 //! - a panicking seed is caught *inside* its worker
@@ -95,8 +96,8 @@ where
 }
 
 /// Runs `f` once per index in `0..n` across `threads` workers and
-/// returns the results in index order. The core of [`run_seeds_parallel`];
-/// exposed for callers whose work items are not literally seeds.
+/// returns the results in index order. The core of [`run_items_parallel`];
+/// exposed for callers that pick their own thread count.
 ///
 /// Panics (after every index has run) if any index panicked, naming the
 /// first failing index. Callers that need per-seed failure isolation use
@@ -116,34 +117,11 @@ where
         .collect()
 }
 
-/// Runs `f` once per seed, fanning out across [`threads_from_env`]
-/// workers, and returns the results **in seed order** regardless of
-/// thread count or completion order. Panics if any seed panicked; see
-/// [`run_seeds_parallel_checked`] for the isolating variant.
-pub fn run_seeds_parallel<R, F>(seeds: &[u64], f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(u64) -> R + Sync,
-{
-    run_indexed_parallel(seeds.len(), threads_from_env(), |i| f(seeds[i]))
-}
-
-/// [`run_seeds_parallel`] with per-seed failure isolation: each result
-/// is `Ok` or that seed's panic message, in seed order.
-pub fn run_seeds_parallel_checked<R, F>(seeds: &[u64], f: F) -> Vec<Result<R, String>>
-where
-    R: Send,
-    F: Fn(u64) -> R + Sync,
-{
-    run_indexed_parallel_checked(seeds.len(), threads_from_env(), |i| f(seeds[i]))
-}
-
-/// Runs `f` once per work item — any `(config, app, seed)`-style tuple,
-/// not just a seed — across [`threads_from_env`] workers, returning the
+/// Runs `f` once per work item — a seed, or any `(config, app, seed)`-
+/// style tuple — across [`threads_from_env`] workers, returning the
 /// results **in item order** regardless of thread count or completion
-/// order. This is the work-list generalization of
-/// [`run_seeds_parallel`]: the figure benches flatten their
-/// config × app × seed loops into one item list so every axis
+/// order. A seed sweep passes its seed slice; the figure benches flatten
+/// their config × app × seed loops into one item list so every axis
 /// parallelizes, and the cluster sweep fans (mode, offered-load) cells
 /// the same way.
 ///

@@ -189,7 +189,7 @@ fn recovery_run(seed: u64) -> (String, String, String) {
 
 #[test]
 fn recovery_replays_bit_identically_across_thread_counts() {
-    // The resilience harness sweeps seeds through run_seeds_parallel;
+    // The resilience harness sweeps seeds through run_items_parallel_checked;
     // VSCALE_THREADS must never leak into results. Drive the same seeds
     // through an explicit 1-thread and 4-thread pool and require every
     // per-seed trace, domain-stat, and fault-stat string to match.
