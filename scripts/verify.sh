@@ -92,12 +92,13 @@ scheduler_gate() {
 # Every pin on event delivery order in one step: the sim-core unit tests
 # and proptests (the queue and its timers against a naive reference
 # model), the determinism, snapshot and allocation tests, the serial-epoch
-# goldens and the benchmark digests.
+# goldens, and the benchmark's lock file, digests and counts.
 queue_gate() {
     echo "== queue: sim-core tests + every pin on event delivery order =="
     cargo test -q --offline -p sim-core
     cargo test -q --offline --test determinism --test snapshot --test alloc_steady
     cargo test -q --offline -p cluster --test serial_epoch_golden
+    perf_lock_gate
     perf_digest_gate
     perf_counts_gate
     echo "   queue pins OK"
@@ -160,6 +161,19 @@ machine_bench_gate() {
         fi
         echo "   $bench: ${fresh}ns/call min (baseline ${base}ns) OK"
     done
+}
+
+# The simulator benchmark (perf/) is its own workspace with a committed
+# lock file. perf/run.sh builds without --locked, so a dependency edge
+# added to any crate would silently rewrite perf/Cargo.lock; build it
+# locked first, so such a change fails here instead.
+perf_lock_gate() {
+    echo "== perf lock: the benchmark must build against perf/Cargo.lock as committed =="
+    if ! cargo build --release --offline --locked --quiet --manifest-path perf/Cargo.toml; then
+        echo "perf/Cargo.lock would change: a crate's [dependencies] moved, and the benchmark's lock file must stay as committed" >&2
+        exit 1
+    fi
+    echo "   perf/Cargo.lock holds"
 }
 
 # The simulator benchmark (perf/) folds each workload's simulated
@@ -281,6 +295,7 @@ differential_smoke
 backend_grid_gate
 attack_grid_gate
 machine_bench_gate
+perf_lock_gate
 perf_digest_gate
 perf_counts_gate
 echo "== verify: OK =="
