@@ -13,18 +13,35 @@
 //!    completes a few hundred requests); decisions compare the SLO
 //!    against an exponential moving average instead.
 //! 2. **Dwell (hysteresis proper)** — a breach must persist for
-//!    `scale_out_dwell` consecutive samples before scale-out fires, an
-//!    idle spell for `scale_in_dwell` before scale-in does, and the two
+//!    [`SCALE_OUT_DWELL`] consecutive samples before scale-out fires, an
+//!    idle spell for [`SCALE_IN_DWELL`] before scale-in does, and the two
 //!    thresholds leave a dead band between them (`scale_in_ratio` <
 //!    `scale_out_ratio`) where neither streak grows.
 //! 3. **Cooldown** — after any action the controller holds for
-//!    `cooldown`, long enough for live migrations to cut over and the
+//!    [`COOLDOWN`], long enough for live migrations to cut over and the
 //!    EMA to re-converge on the new fleet, so it never reacts to the
 //!    transient its own actuation caused.
 
 use metrics::elastic::SloWindow;
-use sim_core::time::SimTime;
+use sim_core::time::{SimDuration, SimTime};
 use vscale::ElasticConfig;
+
+/// EMA weight of the newest sample, in (0, 1].
+pub const EMA_ALPHA: f64 = 0.35;
+/// Scale in only if the smoothed fleet throughput fits on one fewer
+/// host at this share of [`PER_HOST_RPS`].
+pub const SCALE_IN_UTIL: f64 = 0.6;
+/// Operator estimate of one host's comfortable capacity, req/s.
+pub const PER_HOST_RPS: f64 = 7_000.0;
+/// Queue-depth escape hatch: scale out immediately (dwell still
+/// applies) when in-flight requests exceed this many per host.
+pub const QUEUE_DEPTH_PER_HOST: u64 = 96;
+/// Consecutive breach samples before scale-out fires.
+pub const SCALE_OUT_DWELL: u32 = 2;
+/// Consecutive idle samples before scale-in fires.
+pub const SCALE_IN_DWELL: u32 = 8;
+/// Dead time after any action before the next may fire.
+pub const COOLDOWN: SimDuration = SimDuration::from_ms(150);
 
 /// What the controller wants done after one sample.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,15 +74,10 @@ impl SloController {
     /// A controller with no history.
     pub fn new(cfg: ElasticConfig) -> Self {
         assert!(
-            cfg.ema_alpha > 0.0 && cfg.ema_alpha <= 1.0,
-            "alpha in (0,1]"
-        );
-        assert!(
             cfg.scale_in_ratio < cfg.scale_out_ratio,
             "the dead band requires scale_in_ratio < scale_out_ratio"
         );
         assert!(cfg.min_hosts >= 1, "a fleet cannot drain to zero hosts");
-        assert!(cfg.scale_out_dwell >= 1 && cfg.scale_in_dwell >= 1);
         SloController {
             cfg,
             ema_p99_us: 0.0,
@@ -90,7 +102,7 @@ impl SloController {
         let raw_p99 = w.p99_us() as f64;
         let raw_rps = w.completed as f64 * 1e6 / self.cfg.sample_period.as_us_f64();
         if self.primed {
-            let a = self.cfg.ema_alpha;
+            let a = EMA_ALPHA;
             self.ema_p99_us = a * raw_p99 + (1.0 - a) * self.ema_p99_us;
             self.ema_rps = a * raw_rps + (1.0 - a) * self.ema_rps;
         } else {
@@ -104,13 +116,13 @@ impl SloController {
         // exploding past what the fleet can hold.
         let breach = self.ema_p99_us > self.cfg.scale_out_ratio * slo
             || w.drops > 0
-            || w.in_flight > self.cfg.queue_depth_per_host * hosts as u64;
+            || w.in_flight > QUEUE_DEPTH_PER_HOST * hosts as u64;
         // Idle: comfortably inside the dead band *and* the smoothed
         // throughput would fit on one fewer host with headroom.
         let idle = !breach
             && self.ema_p99_us < self.cfg.scale_in_ratio * slo
             && hosts > 1
-            && self.ema_rps <= self.cfg.scale_in_util * self.cfg.per_host_rps * (hosts - 1) as f64;
+            && self.ema_rps <= SCALE_IN_UTIL * PER_HOST_RPS * (hosts - 1) as f64;
         if breach {
             self.breach_streak += 1;
             self.idle_streak = 0;
@@ -126,11 +138,11 @@ impl SloController {
         if now < self.cooldown_until {
             return ScaleDecision::Hold;
         }
-        if self.breach_streak >= self.cfg.scale_out_dwell && hosts < self.cfg.max_hosts {
+        if self.breach_streak >= SCALE_OUT_DWELL && hosts < self.cfg.max_hosts {
             self.arm_cooldown(now);
             return ScaleDecision::Out;
         }
-        if self.idle_streak >= self.cfg.scale_in_dwell && hosts > self.cfg.min_hosts {
+        if self.idle_streak >= SCALE_IN_DWELL && hosts > self.cfg.min_hosts {
             self.arm_cooldown(now);
             return ScaleDecision::In;
         }
@@ -140,7 +152,7 @@ impl SloController {
     fn arm_cooldown(&mut self, now: SimTime) {
         self.breach_streak = 0;
         self.idle_streak = 0;
-        self.cooldown_until = now + self.cfg.cooldown;
+        self.cooldown_until = now + COOLDOWN;
     }
 }
 
@@ -235,7 +247,7 @@ mod tests {
     fn idle_fleet_scales_in_only_after_the_long_dwell() {
         let mut ctl = SloController::new(cfg());
         // Low latency, low throughput on 4 hosts: 7 idle samples hold,
-        // the 8th (scale_in_dwell) fires In.
+        // the 8th (SCALE_IN_DWELL) fires In.
         let log = drive(&mut ctl, 1, &[(800, 40); 9], 4);
         let decisions: Vec<ScaleDecision> = log.iter().map(|&(_, d)| d).collect();
         assert_eq!(decisions[..7], [ScaleDecision::Hold; 7]);

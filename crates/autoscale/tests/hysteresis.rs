@@ -13,6 +13,7 @@
 //! 2. A trace that lives inside the dead band — however violently it
 //!    oscillates within it — never produces an action at all.
 
+use autoscale::controller::{COOLDOWN, SCALE_IN_DWELL, SCALE_OUT_DWELL};
 use autoscale::{ScaleDecision, SloController};
 use metrics::elastic::SloWindow;
 use sim_core::time::SimTime;
@@ -91,14 +92,14 @@ fn actions_are_spaced_and_justified_under_arbitrary_traces() {
                 prop_assert!(hosts <= c.max_hosts, "Out above max_hosts");
                 if let Some((prev_ms, _)) = last_action {
                     prop_assert!(
-                        t_ms - prev_ms >= c.cooldown.as_ms(),
+                        t_ms - prev_ms >= COOLDOWN.as_ms(),
                         "actions {prev_ms}ms and {t_ms}ms inside the cooldown"
                     );
                     // Streaks reset on every action, so the next one —
                     // in either direction — must re-earn its dwell.
                     let dwell = match d {
-                        ScaleDecision::Out => c.scale_out_dwell,
-                        _ => c.scale_in_dwell,
+                        ScaleDecision::Out => SCALE_OUT_DWELL,
+                        _ => SCALE_IN_DWELL,
                     } as u64;
                     prop_assert!(
                         t_ms - prev_ms >= dwell * period_ms,

@@ -80,7 +80,6 @@ fn run_one<S: HypervisorSched>(
             ..CreditConfig::default()
         },
         defense,
-        ..MachineConfig::default()
     });
     let vm = m.add_domain(SystemConfig::VScale.domain_spec(2).with_weight(256));
     let attackers: Vec<_> = (0..n_attackers)

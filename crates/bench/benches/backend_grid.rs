@@ -5,7 +5,7 @@
 //!
 //! Output is one JSON line per grid cell, keyed by
 //! `(figure, backend, app-or-rate, config)`. Under pinned seeds/scale
-//! (`scripts/bench_backend_grid.sh`) everything except the closing
+//! (`scripts/bench_pinned.sh backend_grid`) everything except the closing
 //! `wall_ms` session line is bit-identical across machines;
 //! `scripts/verify.sh backend_grid` gates on the committed checksum.
 //!

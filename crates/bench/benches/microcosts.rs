@@ -17,14 +17,13 @@ use std::hint::black_box;
 use guest_kernel::thread::{Looping, OneShot, ProgramCtx, ThreadAction, ThreadKind};
 use guest_kernel::{GuestConfig, GuestKernel, VcpuId};
 use sim_core::event::{EventHandle, EventQueue};
-use sim_core::fault::WatchdogConfig;
 use sim_core::ids::{GlobalVcpu, PcpuId};
 use sim_core::rng::SimRng;
 use sim_core::time::{SimDuration, SimTime};
 use testkit::bench::BenchRunner;
 use vscale::config::{DomainSpec, MachineConfig, SystemConfig};
 use vscale::machine::Machine;
-use xen_sched::channel::{ChannelCosts, VscaleChannel};
+use xen_sched::channel::VscaleChannel;
 use xen_sched::credit::{CreditConfig, CreditScheduler};
 use xen_sched::extend::{compute_extendability, ExtendParams};
 use xen_sched::HypervisorSched;
@@ -54,11 +53,8 @@ fn bench_channel_read(r: &mut BenchRunner) {
     let dom = sched.create_domain(256, 4, None, None);
     sched.wake_domain(dom, SimTime::ZERO, &mut Vec::new());
     sched.on_extend_tick(SimTime::from_ms(10));
-    let costs = ChannelCosts::default();
     let mut ch = VscaleChannel::new();
-    r.bench("vscale_channel_read", || {
-        black_box(ch.read(&sched, dom, &costs))
-    });
+    r.bench("vscale_channel_read", || black_box(ch.read(&sched, dom)));
 }
 
 fn bench_freeze_unfreeze(r: &mut BenchRunner) {
@@ -310,10 +306,7 @@ fn bench_machine_dispatch(r: &mut BenchRunner) {
             );
             m.start_thread(bg, t);
         }
-        m.set_watchdog(WatchdogConfig {
-            stall_timeout: SimDuration::from_ms(20),
-            ..WatchdogConfig::default()
-        });
+        m.set_stall_timeout(SimDuration::from_ms(20));
         m.try_run_until(SimTime::from_ms(100)).expect("clean run");
         m.events_delivered()
     };

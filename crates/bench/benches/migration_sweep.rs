@@ -206,7 +206,7 @@ fn build_hotspot_fleet(seed: u64) -> Cluster {
         });
         let twin = |m: &mut Machine| {
             let mut spec = SystemConfig::VScale.domain_spec(4).with_weight(512);
-            spec.guest.costs.softirq_net = SimDuration::from_us(25);
+            spec.guest.softirq_net = SimDuration::from_us(25);
             let dom = m.add_domain(spec);
             let srv = apache::install(m, dom, ApacheConfig::default());
             (dom, srv)

@@ -9,17 +9,17 @@
 
 use std::time::Instant;
 
+use guest_kernel::costs;
 use metrics::paper::table1;
 use metrics::Table;
 use sim_core::ids::{GlobalVcpu, PcpuId, VcpuId};
 use sim_core::time::SimTime;
-use xen_sched::channel::{ChannelCosts, VscaleChannel};
+use xen_sched::channel::VscaleChannel;
 use xen_sched::credit::{CreditConfig, CreditScheduler};
 use xen_sched::HypervisorSched;
 
 fn main() {
     let session = vscale_bench::session("table1_channel");
-    let costs = ChannelCosts::default();
     let mut t = Table::new(
         "Table 1: overhead of reading from the vScale channel",
         &["operation", "paper (us)", "model (us)"],
@@ -27,17 +27,17 @@ fn main() {
     t.row(&[
         "(1) system call (sys_getvscaleinfo)".into(),
         format!("{:.2}", table1::SYSCALL_US),
-        format!("{:.2}", costs.syscall.as_us_f64()),
+        format!("{:.2}", costs::SYSCALL.as_us_f64()),
     ]);
     t.row(&[
         "(2) hypercall (SCHEDOP_getvscaleinfo)".into(),
         format!("+{:.2}", table1::HYPERCALL_US),
-        format!("+{:.2}", costs.hypercall.as_us_f64()),
+        format!("+{:.2}", costs::HYPERCALL.as_us_f64()),
     ]);
     t.row(&[
         "total per read".into(),
         format!("{:.2}", table1::TOTAL_US),
-        format!("{:.2}", costs.total().as_us_f64()),
+        format!("{:.2}", costs::CHANNEL_READ.as_us_f64()),
     ]);
     t.print();
 
@@ -55,7 +55,7 @@ fn main() {
     let start = Instant::now();
     let mut acc = 0u64;
     for _ in 0..READS {
-        let (info, _cost) = ch.read(&sched, dom, &costs);
+        let info = ch.read(&sched, dom);
         acc = acc.wrapping_add(info.n_opt as u64);
     }
     let elapsed = start.elapsed();

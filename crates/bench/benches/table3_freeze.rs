@@ -11,14 +11,13 @@
 
 use std::time::Instant;
 
-use guest_kernel::{GuestConfig, GuestKernel, VcpuId};
+use guest_kernel::{costs, GuestConfig, GuestKernel, VcpuId};
 use metrics::paper::table3;
 use metrics::Table;
 use sim_core::time::SimTime;
 
 fn main() {
     let session = vscale_bench::session("table3_freeze");
-    let costs = guest_kernel::GuestCosts::default();
     let mut t = Table::new(
         "Table 3: freezing one vCPU (master side, vCPU0)",
         &["operation", "paper (us)", "model (us)"],
@@ -27,29 +26,29 @@ fn main() {
         (
             "(1) system call (sys_freezecpu)",
             0.69,
-            costs.syscall.as_us_f64(),
+            costs::SYSCALL.as_us_f64(),
         ),
         (
             "(2) cpu_freeze_lock +irq save/restore",
             0.06,
-            costs.freeze_lock.as_us_f64(),
+            costs::FREEZE_LOCK.as_us_f64(),
         ),
         (
             "(3) change cpu_freeze_mask",
             0.03,
-            costs.freeze_mask_update.as_us_f64(),
+            costs::FREEZE_MASK_UPDATE.as_us_f64(),
         ),
         (
             "(4) update sched domain/group power",
             0.12,
-            costs.group_power_update.as_us_f64(),
+            costs::GROUP_POWER_UPDATE.as_us_f64(),
         ),
         (
             "(5) hypercall (SCHEDOP_freezecpu)",
             0.22,
-            costs.hypercall.as_us_f64(),
+            costs::HYPERCALL.as_us_f64(),
         ),
-        ("(6) send reschedule IPI", 0.98, costs.ipi_send.as_us_f64()),
+        ("(6) send reschedule IPI", 0.98, costs::IPI_SEND.as_us_f64()),
     ];
     let mut paper_acc = 0.0;
     let mut model_acc = 0.0;
@@ -76,7 +75,7 @@ fn main() {
             table3::THREAD_MIGRATION_US.0,
             table3::THREAD_MIGRATION_US.1
         ),
-        format!("{:.2}", costs.thread_migration.as_us_f64()),
+        format!("{:.2}", costs::THREAD_MIGRATION.as_us_f64()),
     ]);
     t2.row(&[
         "migrate one device interrupt".into(),
@@ -85,7 +84,7 @@ fn main() {
             table3::IRQ_MIGRATION_US.0,
             table3::IRQ_MIGRATION_US.1
         ),
-        format!("{:.2}", costs.irq_migration.as_us_f64()),
+        format!("{:.2}", costs::IRQ_MIGRATION.as_us_f64()),
     ]);
     t2.print();
 

@@ -202,7 +202,7 @@ pub fn apache_experiment_on<S: HypervisorSched>(
     // PV network path costs on the paper-era testbed (netfront event
     // channel, grant copies, TCP/IP) — the paper's VM fields 11.8 K
     // network interrupts/s at 6 K req/s.
-    spec.guest.costs.softirq_net = SimDuration::from_us(25);
+    spec.guest.softirq_net = SimDuration::from_us(25);
     let slideshow = SlideshowConfig {
         think_mean: SimDuration::from_ms(280),
         burst_mean: SimDuration::from_ms(850),

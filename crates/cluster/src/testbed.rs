@@ -112,7 +112,7 @@ pub fn build_web_fleet(fleet: WebFleetConfig, cluster_cfg: ClusterConfig) -> Clu
                 .with_weight(128 * fleet.vm_vcpus as u32);
             // PV network path costs, as in the single-host Apache
             // experiment (netfront event channel, grant copies).
-            spec.guest.costs.softirq_net = SimDuration::from_us(25);
+            spec.guest.softirq_net = SimDuration::from_us(25);
             let dom = m.add_domain(spec);
             let srv = apache::install(&mut m, dom, ApacheConfig::default());
             backends.push((host, dom, srv));
@@ -125,7 +125,7 @@ pub fn build_web_fleet(fleet: WebFleetConfig, cluster_cfg: ClusterConfig) -> Clu
                 .mode
                 .domain_spec(fleet.vm_vcpus)
                 .with_weight(128 * fleet.vm_vcpus as u32);
-            spec.guest.costs.softirq_net = SimDuration::from_us(25);
+            spec.guest.softirq_net = SimDuration::from_us(25);
             let dom = m.add_domain(spec);
             let _srv = apache::install(&mut m, dom, ApacheConfig::default());
             spares.push((host, dom));
@@ -158,7 +158,7 @@ pub fn build_web_fleet(fleet: WebFleetConfig, cluster_cfg: ClusterConfig) -> Clu
                 .mode
                 .domain_spec(fleet.vm_vcpus)
                 .with_weight(128 * fleet.vm_vcpus as u32);
-            spec.guest.costs.softirq_net = SimDuration::from_us(25);
+            spec.guest.softirq_net = SimDuration::from_us(25);
             let dom = m.add_domain(spec);
             let _srv = apache::install(&mut m, dom, ApacheConfig::default());
             spares.push((host, dom));

@@ -268,6 +268,26 @@ fn host_crash_and_checkpoint_restore_is_exactly_once() {
     assert!(final_completed > during, "restored fleet must keep serving");
 }
 
+/// A host crash right after one of its backends failed takes that
+/// backend down a second time. Its deliveries still on the wire were
+/// already fenced by the first failure; the crash must not fence them
+/// again, or the surplus swallows deliveries made after the restore and
+/// their requests never complete.
+#[test]
+fn host_crash_after_backend_failure_loses_nothing() {
+    let mut c = small_fleet(2, 0);
+    let end = SimTime::from_ms(400);
+    c.open_loop(12_000.0, SimTime::ZERO, end);
+    c.run_until(SimTime::from_ms(120)).expect("warmup");
+    let image = c.checkpoint_host(0);
+    c.run_until(SimTime::from_ms(121)).expect("pre-failure");
+    c.fail_backend(0);
+    c.crash_host(0);
+    c.run_until(SimTime::from_ms(125)).expect("outage");
+    c.restore_host(0, &image);
+    drain_and_check(&mut c, end);
+}
+
 #[test]
 #[should_panic(expected = "stale checkpoint")]
 fn restoring_a_pre_migration_checkpoint_is_refused() {

@@ -38,10 +38,6 @@ pub struct MachineConfig {
     pub credit: CreditConfig,
     /// Root RNG seed.
     pub seed: u64,
-    /// Latency of a virtual IPI between two running vCPUs.
-    pub ipi_latency: SimDuration,
-    /// NIC line rate in bits per second (paper: 1 GbE).
-    pub nic_bps: u64,
     /// Scheduler-attack defenses. All off by default: the defaults
     /// reproduce the paper's (attackable) behavior byte for byte.
     pub defense: DefenseConfig,
@@ -53,8 +49,6 @@ impl Default for MachineConfig {
             n_pcpus: 4,
             credit: CreditConfig::default(),
             seed: 0x5ca1e,
-            ipi_latency: SimDuration::from_us(5),
-            nic_bps: 1_000_000_000,
             defense: DefenseConfig::default(),
         }
     }
@@ -91,23 +85,6 @@ pub struct DefenseConfig {
     /// for this many daemon periods (0 disables). Counters
     /// extendability-oscillation attacks that thrash freeze/unfreeze.
     pub freeze_dwell: u32,
-}
-
-impl DefenseConfig {
-    /// Every defense enabled, with the documented default dwell.
-    pub fn all_on() -> Self {
-        DefenseConfig {
-            exact_burn: true,
-            tick_jitter: true,
-            kick_throttle: true,
-            freeze_dwell: 8,
-        }
-    }
-
-    /// True when any defense is active.
-    pub fn any(&self) -> bool {
-        self.exact_burn || self.tick_jitter || self.kick_throttle || self.freeze_dwell > 0
-    }
 }
 
 /// Per-domain configuration.
@@ -249,19 +226,12 @@ impl SystemConfig {
     }
 }
 
-/// Thresholds of the fleet autoscaler's SLO feedback controller
-/// (`crates/autoscale`). Lives here, next to the other policy knobs,
-/// so experiment grids can sweep controller aggressiveness the same way
-/// they sweep scheduler policy. All smoothing and comparison runs on
-/// the controller's sampled windows — nothing here touches the
-/// machine-level hot path, so an idle controller costs nothing.
-///
-/// The shape follows the adaptive-allocation feedback template:
-/// measure (windowed p99 / throughput / queue depth), filter (EMA),
-/// actuate with hysteresis (consecutive-sample dwell) and a cooldown
-/// that covers the actuator's own settling time (a live migration takes
-/// several epochs to cut over; reacting to mid-migration samples would
-/// double-fire).
+/// The fleet autoscaler's SLO target, sampling period, dead band and
+/// host bounds (`crates/autoscale`): the values experiments set. The
+/// controller's fixed smoothing, dwell, cooldown and capacity
+/// constants live beside it in `autoscale::controller`. Nothing here
+/// touches the machine-level hot path, so an idle controller costs
+/// nothing.
 #[derive(Clone, Copy, Debug)]
 pub struct ElasticConfig {
     /// The fleet-p99 target, µs. Scale-out pressure builds while the
@@ -269,27 +239,12 @@ pub struct ElasticConfig {
     pub slo_p99_us: u64,
     /// Controller sampling period (also the SLO-window width).
     pub sample_period: SimDuration,
-    /// EMA weight of the newest sample, in (0, 1].
-    pub ema_alpha: f64,
-    /// Scale out when `ema_p99 > scale_out_ratio * slo_p99_us` for
-    /// `scale_out_dwell` consecutive samples.
+    /// Scale out when the smoothed p99 exceeds `scale_out_ratio *
+    /// slo_p99_us` for the controller's scale-out dwell.
     pub scale_out_ratio: f64,
-    /// Scale in only while `ema_p99 < scale_in_ratio * slo_p99_us` …
+    /// Scale in only while the smoothed p99 stays below `scale_in_ratio *
+    /// slo_p99_us` and the fleet's throughput fits on one fewer host.
     pub scale_in_ratio: f64,
-    /// … *and* the smoothed fleet throughput fits on one fewer host at
-    /// `scale_in_util` of the per-host capacity estimate.
-    pub scale_in_util: f64,
-    /// Operator estimate of one host's comfortable capacity, req/s.
-    pub per_host_rps: f64,
-    /// Queue-depth escape hatch: scale out immediately (dwell still
-    /// applies) when in-flight requests exceed this many per host.
-    pub queue_depth_per_host: u64,
-    /// Consecutive breach samples before scale-out fires.
-    pub scale_out_dwell: u32,
-    /// Consecutive idle samples before scale-in fires.
-    pub scale_in_dwell: u32,
-    /// Dead time after any action before the next may fire.
-    pub cooldown: SimDuration,
     /// The controller never drains below this many in-service hosts.
     pub min_hosts: usize,
     /// … and never activates beyond this many.
@@ -301,15 +256,8 @@ impl Default for ElasticConfig {
         ElasticConfig {
             slo_p99_us: 10_000,
             sample_period: SimDuration::from_ms(20),
-            ema_alpha: 0.35,
             scale_out_ratio: 0.8,
             scale_in_ratio: 0.4,
-            scale_in_util: 0.6,
-            per_host_rps: 7_000.0,
-            queue_depth_per_host: 96,
-            scale_out_dwell: 2,
-            scale_in_dwell: 8,
-            cooldown: SimDuration::from_ms(150),
             min_hosts: 1,
             max_hosts: usize::MAX,
         }
@@ -346,15 +294,8 @@ mod tests {
     #[test]
     fn defense_defaults_are_all_off() {
         let d = DefenseConfig::default();
-        assert!(!d.any());
         assert!(!d.exact_burn && !d.tick_jitter && !d.kick_throttle);
         assert_eq!(d.freeze_dwell, 0);
-        assert!(DefenseConfig::all_on().any());
-        assert!(DefenseConfig {
-            freeze_dwell: 1,
-            ..DefenseConfig::default()
-        }
-        .any());
     }
 
     #[test]

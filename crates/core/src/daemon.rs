@@ -19,7 +19,27 @@
 use sim_core::ids::VcpuId;
 use sim_core::time::SimDuration;
 
-/// Daemon tuning parameters.
+/// Extendability (in pCPUs) beyond the current active count required
+/// before unfreezing another vCPU. Algorithm 1's ceiling grants a vCPU
+/// for *any* partial allocation; running a vCPU on a sliver of credit
+/// just drives the domain OVER and re-introduces the very scheduling
+/// delays vScale removes, so the daemon only activates the extra vCPU
+/// once it is at least this well funded.
+pub const GROW_MARGIN: f64 = 0.35;
+/// Exponential smoothing factor applied to the 10 ms extendability
+/// samples before deciding (new = alpha·sample + (1−alpha)·old).
+/// Window-level consumption is noisy; smoothing keeps the daemon from
+/// chasing single-window slack spikes while still reacting within a few
+/// tens of milliseconds.
+pub const EMA_ALPHA: f64 = 0.2;
+/// How underfunded (in pCPUs) the marginal active vCPU must be before
+/// the daemon freezes it even though the ceiling rule nominally keeps
+/// it: shrink when `ext <= active - SHRINK_MARGIN`. A vCPU running on a
+/// 30% credit sliver drags the whole domain OVER.
+pub const SHRINK_MARGIN: f64 = 0.65;
+
+/// Daemon tuning parameters. The fixed margins and smoothing are
+/// [`GROW_MARGIN`], [`SHRINK_MARGIN`] and [`EMA_ALPHA`].
 #[derive(Clone, Copy, Debug)]
 pub struct DaemonConfig {
     /// Polling period (the paper's prototype recomputes extendability
@@ -30,24 +50,6 @@ pub struct DaemonConfig {
     /// daemon freezes a vCPU (hysteresis against transient dips; growing
     /// is always immediate so ramp-ups exploit parallelism).
     pub shrink_patience: u32,
-    /// Extendability (in pCPUs) beyond the current active count required
-    /// before unfreezing another vCPU. Algorithm 1's ceiling grants a
-    /// vCPU for *any* partial allocation; running a vCPU on a sliver of
-    /// credit just drives the domain OVER and re-introduces the very
-    /// scheduling delays vScale removes, so the daemon only activates the
-    /// extra vCPU once it is at least this well funded.
-    pub grow_margin: f64,
-    /// Exponential smoothing factor applied to the 10 ms extendability
-    /// samples before deciding (new = alpha·sample + (1−alpha)·old).
-    /// Window-level consumption is noisy; smoothing keeps the daemon from
-    /// chasing single-window slack spikes while still reacting within a
-    /// few tens of milliseconds.
-    pub ema_alpha: f64,
-    /// How underfunded (in pCPUs) the marginal active vCPU must be before
-    /// the daemon freezes it even though the ceiling rule nominally keeps
-    /// it: shrink when `ext <= active - shrink_margin`. A vCPU running on
-    /// a 30% credit sliver drags the whole domain OVER.
-    pub shrink_margin: f64,
     /// Growth probing: if `n_opt > active` persists this many periods but
     /// the margin keeps blocking growth, grow anyway. Algorithm 1's slack
     /// split is conservative (competitors that cannot spend their share
@@ -61,9 +63,6 @@ impl Default for DaemonConfig {
         DaemonConfig {
             period: SimDuration::from_ms(10),
             shrink_patience: 3,
-            grow_margin: 0.35,
-            ema_alpha: 0.2,
-            shrink_margin: 0.65,
             grow_patience: 5,
         }
     }
@@ -187,9 +186,8 @@ impl DaemonState {
     /// Feeds one extendability sample (pCPUs) into the smoother and
     /// returns the smoothed value.
     pub fn smooth(&mut self, ext_pcpus: f64) -> f64 {
-        let a = self.config.ema_alpha.clamp(0.01, 1.0);
         let ema = match self.ext_ema {
-            Some(prev) => a * ext_pcpus + (1.0 - a) * prev,
+            Some(prev) => EMA_ALPHA * ext_pcpus + (1.0 - EMA_ALPHA) * prev,
             None => ext_pcpus,
         };
         self.ext_ema = Some(ema);
@@ -203,11 +201,11 @@ impl DaemonState {
     /// unfreeze one vCPU, `Some(-1)` to freeze one, or `None` to hold.
     pub fn decide(&mut self, n_opt: usize, ext_pcpus: f64, active: usize) -> Option<i32> {
         use std::cmp::Ordering;
-        let badly_underfunded = ext_pcpus <= active as f64 - self.config.shrink_margin;
+        let badly_underfunded = ext_pcpus <= active as f64 - SHRINK_MARGIN;
         match n_opt.cmp(&active) {
             Ordering::Greater => {
                 self.shrink_streak = 0;
-                if ext_pcpus >= active as f64 + self.config.grow_margin {
+                if ext_pcpus >= active as f64 + GROW_MARGIN {
                     self.grow_streak = 0;
                     Some(1)
                 } else {

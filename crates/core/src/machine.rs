@@ -26,13 +26,12 @@ use std::fmt::Write as _;
 use guest_kernel::kernel::GuestEffect;
 use guest_kernel::thread::IoQueueId;
 use guest_kernel::{
-    FailSafe, FreezeRateGate, GuestKernel, HotplugModel, HotplugRetry, HotplugRetryPolicy,
-    ThreadId, VcpuId,
+    costs, FailSafe, FreezeRateGate, GuestKernel, HotplugModel, HotplugRetry, ThreadId, VcpuId,
 };
 use sim_core::event::{EventHandle, EventQueue};
 use sim_core::fault::{
     ChannelReadFault, DeliveryFault, Diagnostics, FaultConfig, FaultPlan, FaultStats, SimError,
-    SimErrorKind, WatchdogConfig,
+    SimErrorKind,
 };
 use sim_core::ids::{DomId, GlobalVcpu, PcpuId};
 use sim_core::rng::SimRng;
@@ -40,8 +39,8 @@ use sim_core::snap::{self, Snap, SnapReader, SnapWriter};
 use sim_core::time::{SimDuration, SimTime};
 use sim_core::trace::{TraceEvent, TraceRing};
 use xen_sched::api::{DomSchedExport, HypervisorSched};
-use xen_sched::channel::{ChannelCosts, DoorbellLink, RetransmitPolicy, VscaleChannel};
-use xen_sched::credit::{CreditScheduler, SchedEvent};
+use xen_sched::channel::{DoorbellLink, VscaleChannel, RETRANSMIT_RTO};
+use xen_sched::credit::{CreditScheduler, SchedEvent, ACCT_PERIOD, EXTEND_PERIOD, SLICE, TICK};
 use xen_sched::evtchn::{EvtchnTable, PortId, PortKind};
 
 use crate::config::{DomainSpec, MachineConfig, ScalingMode};
@@ -195,6 +194,18 @@ const READ_RETRY_BUDGET: u32 = 2;
 /// 10 ms cadence, far above the worst contention-induced gap observed
 /// fault-free, far below a human noticing a wedged daemon.
 const HEARTBEAT_TICKS: u32 = 12;
+
+/// Latency of a virtual IPI between two running vCPUs.
+const IPI_LATENCY: SimDuration = SimDuration::from_us(5);
+
+/// NIC line rate in bits per second (paper: 1 GbE).
+const NIC_BPS: u64 = 1_000_000_000;
+
+/// Maximum events handled at one virtual instant before the run is
+/// declared livelocked. Normal dispatch handles at most a few hundred
+/// same-instant events (one per vCPU/port); this is far above any
+/// legitimate burst.
+const MAX_EVENTS_PER_INSTANT: u64 = 100_000;
 
 /// Draws one randomized tick interval in `[¾·tick, 1¼·tick)`. The mean
 /// stays at `tick`, so the long-run accounting cadence is unchanged,
@@ -371,8 +382,10 @@ pub struct Machine<S: HypervisorSched = CreditScheduler> {
     /// Seeded fault plan, if injection is enabled. `None` (the default)
     /// keeps every dispatch path byte-identical to the pre-fault code.
     fault_plan: Option<Box<FaultPlan>>,
-    /// Watchdog bounds for the checked run loops and the routing guard.
-    watchdog: WatchdogConfig,
+    /// How much virtual time may pass with no forward progress (no guest
+    /// work retired, no thread exited) before a checked run is declared
+    /// stalled. 5 s unless [`Machine::set_stall_timeout`] says otherwise.
+    stall_timeout: SimDuration,
     /// First structured failure recorded by a deep layer (routing storm);
     /// surfaced by the run loops instead of unwinding mid-drain.
     fault_error: Option<SimError>,
@@ -436,15 +449,14 @@ impl<S: HypervisorSched> Machine<S> {
         // offset, so pCPUs desynchronize from the very first sample.
         for p in 0..config.n_pcpus {
             let first = if config.defense.tick_jitter {
-                jittered_interval(config.credit.tick, &mut tick_rng)
+                jittered_interval(TICK, &mut tick_rng)
             } else {
-                config.credit.tick
+                TICK
             };
             queue.schedule(SimTime::ZERO + first, Ev::hv_tick(PcpuId(p)));
         }
-        let acct = config.credit.tick * u64::from(config.credit.ticks_per_acct);
-        queue.schedule(SimTime::ZERO + acct, Ev::HvAcct);
-        queue.schedule(SimTime::ZERO + config.credit.extend_period, Ev::ExtendTick);
+        queue.schedule(SimTime::ZERO + ACCT_PERIOD, Ev::HvAcct);
+        queue.schedule(SimTime::ZERO + EXTEND_PERIOD, Ev::ExtendTick);
         let rng = SimRng::new(config.seed);
         let plan_owner = vec![None; config.n_pcpus];
         Machine {
@@ -464,7 +476,7 @@ impl<S: HypervisorSched> Machine<S> {
             ports_buf: Vec::new(),
             ipi_buf: Vec::new(),
             fault_plan: None,
-            watchdog: WatchdogConfig::default(),
+            stall_timeout: SimDuration::from_secs(5),
             fault_error: None,
             wd_instant: SimTime::ZERO,
             wd_instant_events: 0,
@@ -510,10 +522,11 @@ impl<S: HypervisorSched> Machine<S> {
         self.hv.is_frozen(GlobalVcpu::new(dom, vcpu))
     }
 
-    /// Overrides the watchdog bounds used by [`Machine::try_run_until`] /
-    /// [`Machine::try_run_until_exited`] and the routing-storm guard.
-    pub fn set_watchdog(&mut self, watchdog: WatchdogConfig) {
-        self.watchdog = watchdog;
+    /// Overrides the stall timeout of the progress watchdog that
+    /// [`Machine::try_run_until`] and [`Machine::try_run_until_exited`]
+    /// run.
+    pub fn set_stall_timeout(&mut self, timeout: SimDuration) {
+        self.stall_timeout = timeout;
     }
 
     /// Enables tracing of pCPU assignment changes and reconfigurations,
@@ -847,7 +860,7 @@ impl<S: HypervisorSched> Machine<S> {
     fn watchdog_tick(&mut self, now: SimTime) -> Result<(), SimError> {
         if now == self.wd_instant {
             self.wd_instant_events += 1;
-            if self.wd_instant_events > self.watchdog.max_events_per_instant {
+            if self.wd_instant_events > MAX_EVENTS_PER_INSTANT {
                 return Err(self.build_error(
                     SimErrorKind::Livelock {
                         events_at_instant: self.wd_instant_events,
@@ -859,7 +872,7 @@ impl<S: HypervisorSched> Machine<S> {
             self.wd_instant = now;
             self.wd_instant_events = 1;
         }
-        if now.since(self.wd_progress_at) >= self.watchdog.stall_timeout {
+        if now.since(self.wd_progress_at) >= self.stall_timeout {
             let fp = self.progress_fingerprint();
             if fp != self.wd_progress_fp || !self.wants_progress() {
                 self.wd_progress_fp = fp;
@@ -1007,22 +1020,20 @@ impl<S: HypervisorSched> Machine<S> {
                 self.hv_and_drain(now, |hv, ev| hv.on_tick(p, now, ev));
                 let interval = if self.config.defense.tick_jitter {
                     self.ticks_jittered += 1;
-                    jittered_interval(self.config.credit.tick, &mut self.tick_rng)
+                    jittered_interval(TICK, &mut self.tick_rng)
                 } else {
-                    self.config.credit.tick
+                    TICK
                 };
                 self.queue.schedule(now + interval, Ev::hv_tick(p));
                 self.inject_steal_spike(now);
             }
             Ev::HvAcct => {
                 self.hv_and_drain(now, |hv, ev| hv.on_acct(now, ev));
-                let acct = self.config.credit.tick * u64::from(self.config.credit.ticks_per_acct);
-                self.queue.schedule(now + acct, Ev::HvAcct);
+                self.queue.schedule(now + ACCT_PERIOD, Ev::HvAcct);
             }
             Ev::ExtendTick => {
                 self.hv.on_extend_tick(now);
-                self.queue
-                    .schedule(now + self.config.credit.extend_period, Ev::ExtendTick);
+                self.queue.schedule(now + EXTEND_PERIOD, Ev::ExtendTick);
             }
             Ev::SliceEnd { pcpu } => {
                 let pcpu = PcpuId(pcpu as usize);
@@ -1140,9 +1151,7 @@ impl<S: HypervisorSched> Machine<S> {
                     .push(now, "daemon", TraceEvent::HotplugAbort(dom));
                 // Arm the capped exponential hold before the next removal
                 // attempt, dated from the unwind (stalls vary in length).
-                self.guests[dom.index()]
-                    .hotplug_retry
-                    .on_abort(now, &HotplugRetryPolicy::default());
+                self.guests[dom.index()].hotplug_retry.on_abort(now);
                 self.guests[dom.index()].daemon.phase = DaemonPhase::Idle;
                 for v in 0..self.guests[dom.index()].kernel.n_vcpus() {
                     self.replan(dom, VcpuId(v), now);
@@ -1248,7 +1257,7 @@ impl<S: HypervisorSched> Machine<S> {
         let mut guard = 0u64;
         while let Some(op) = ops.pop_front() {
             guard += 1;
-            if guard >= self.watchdog.max_events_per_instant {
+            if guard >= MAX_EVENTS_PER_INSTANT {
                 // A feedback loop between scheduler events and guest
                 // effects. Record a structured error for the run loop to
                 // surface (or panic with) and abandon the storm.
@@ -1281,11 +1290,8 @@ impl<S: HypervisorSched> Machine<S> {
                     ops.extend(fx.drain(..).map(|e| Op::Guest(vcpu.dom, e)));
                     self.run_fx_buf = fx;
                     // Arm the slice-expiry for this assignment.
-                    self.queue.arm(
-                        self.slice_key(pcpu),
-                        now + self.config.credit.slice,
-                        Ev::slice_end(pcpu),
-                    );
+                    self.queue
+                        .arm(self.slice_key(pcpu), now + SLICE, Ev::slice_end(pcpu));
                     dirty.push((vcpu.dom, vcpu.vcpu));
                 }
                 Op::Sched(SchedEvent::Desched { pcpu, vcpu }) => {
@@ -1355,7 +1361,7 @@ impl<S: HypervisorSched> Machine<S> {
                         return;
                     }
                     ipi_seen.push((dom, to));
-                    let base = now + self.config.ipi_latency;
+                    let base = now + IPI_LATENCY;
                     let fault = self
                         .fault_plan
                         .as_mut()
@@ -1405,7 +1411,7 @@ impl<S: HypervisorSched> Machine<S> {
             }
             GuestEffect::NicSend { bytes, .. } => {
                 let g = &mut self.guests[dom.index()];
-                let wire = SimDuration::from_ns(bytes * 8 * 1_000_000_000 / self.config.nic_bps);
+                let wire = SimDuration::from_ns(bytes * 8 * 1_000_000_000 / NIC_BPS);
                 let start = g.nic_busy_until.max(now);
                 g.nic_busy_until = start + wire;
                 self.queue
@@ -1502,10 +1508,9 @@ impl<S: HypervisorSched> Machine<S> {
                 // backoff ladder be lost too, the guest's periodic re-scan
                 // remains the delivery bound of last resort.
                 let seq = self.guests[dom.index()].doorbells[port.0].open();
-                let rto = RetransmitPolicy::default().timeout(0);
                 let h = self
                     .queue
-                    .schedule(now + rto, Ev::retransmit(dom, port, seq));
+                    .schedule(now + RETRANSMIT_RTO, Ev::retransmit(dom, port, seq));
                 self.guests[dom.index()].retx_handles[port.0] = Some(h);
             }
             DeliveryFault::Delay(d) => {
@@ -1516,10 +1521,9 @@ impl<S: HypervisorSched> Machine<S> {
                 // suppressed by the pending bit.
                 let seq = self.guests[dom.index()].doorbells[port.0].open();
                 self.queue.schedule(now + d, Ev::port_recover(dom, port));
-                let rto = RetransmitPolicy::default().timeout(0);
                 let h = self
                     .queue
-                    .schedule(now + rto, Ev::retransmit(dom, port, seq));
+                    .schedule(now + RETRANSMIT_RTO, Ev::retransmit(dom, port, seq));
                 self.guests[dom.index()].retx_handles[port.0] = Some(h);
             }
             DeliveryFault::Deliver | DeliveryFault::Duplicate(_) => {
@@ -1625,8 +1629,7 @@ impl<S: HypervisorSched> Machine<S> {
                     // The re-rung doorbell arrives, just late.
                     self.queue.schedule(now + d, Ev::port_recover(dom, port));
                 }
-                let policy = RetransmitPolicy::default();
-                match self.guests[di].doorbells[port.0].backoff(seq, &policy) {
+                match self.guests[di].doorbells[port.0].backoff(seq) {
                     Some(delay) => {
                         let h = self
                             .queue
@@ -1675,14 +1678,12 @@ impl<S: HypervisorSched> Machine<S> {
         }
         // Queue the channel read on vCPU0 (RT-class daemon work).
         self.guests[dom.index()].daemon.phase = DaemonPhase::Reading;
-        let cost = self.guests[dom.index()]
-            .kernel
-            .config()
-            .costs
-            .channel_read_total();
-        self.guests[dom.index()]
-            .kernel
-            .push_kwork(VcpuId(0), now, cost, Some(TAG_READ));
+        self.guests[dom.index()].kernel.push_kwork(
+            VcpuId(0),
+            now,
+            costs::CHANNEL_READ,
+            Some(TAG_READ),
+        );
         // vCPU0 may be idle-blocked: kick it so the daemon runs.
         let gv = GlobalVcpu::new(dom, VcpuId(0));
         if self.hv.where_running(gv).is_none() {
@@ -1785,22 +1786,16 @@ impl<S: HypervisorSched> Machine<S> {
             g.daemon.reads += 1;
             // The base read cost was charged as kwork at queue time; the
             // channel only decides which snapshot is served.
-            let rr = g.channel.read_reliable(
-                &self.hv,
-                dom,
-                &ChannelCosts::default(),
-                READ_RETRY_BUDGET,
-                || {
+            let rr = g
+                .channel
+                .read_reliable(&self.hv, dom, READ_RETRY_BUDGET, || {
                     plan.as_mut()
                         .map_or(ChannelReadFault::Fresh, |f| f.on_channel_read())
-                },
-            );
+                });
             if rr.retries > 0 {
                 // Each extra attempt re-issues the read syscall+hypercall:
                 // charge it, so retries show up as daemon overhead.
-                let extra = SimDuration::from_ns(
-                    ChannelCosts::default().total().as_ns() * u64::from(rr.retries),
-                );
+                let extra = costs::CHANNEL_READ * u64::from(rr.retries);
                 g.kernel.push_kwork(VcpuId(0), now, extra, None);
                 dirty.push((dom, VcpuId(0)));
             }
@@ -1903,11 +1898,10 @@ impl<S: HypervisorSched> Machine<S> {
             target,
             freeze: false,
         };
-        let cost = g.kernel.config().costs.freeze_master_total();
         g.kernel.push_kwork(
             VcpuId(0),
             now,
-            cost,
+            costs::FREEZE_MASTER,
             Some(TAG_UNFREEZE_BASE + target.index() as u64),
         );
         dirty.push((dom, VcpuId(0)));
@@ -1974,11 +1968,10 @@ impl<S: HypervisorSched> Machine<S> {
             target,
             freeze: true,
         };
-        let cost = g.kernel.config().costs.freeze_master_total();
         g.kernel.push_kwork(
             VcpuId(0),
             now,
-            cost,
+            costs::FREEZE_MASTER,
             Some(TAG_FREEZE_BASE + target.index() as u64),
         );
         dirty.push((dom, VcpuId(0)));
@@ -2455,7 +2448,6 @@ mod tests {
             n_pcpus: 1,
             ..MachineConfig::default()
         });
-        let slice = m.config.credit.slice;
         let a = m.add_domain(DomainSpec::fixed(1));
         let b = m.add_domain(DomainSpec::fixed(1));
         let ta = m.guest_mut(a).spawn(ThreadKind::User, compute_ms(5));
@@ -2466,18 +2458,18 @@ mod tests {
 
         m.run_until(SimTime::from_ms(1));
         let a_since = running_since(&m, va).expect("A holds the pCPU first");
-        assert_eq!(slice_ends(&mut m, 0), [a_since + slice]);
+        assert_eq!(slice_ends(&mut m, 0), [a_since + SLICE]);
 
         m.run_until(SimTime::from_ms(10));
         assert!(m.guest(a).all_exited());
         let b_since = running_since(&m, vb).expect("B took the pCPU A left");
         assert!(
-            b_since < a_since + slice,
+            b_since < a_since + SLICE,
             "B was placed partway through A's slice"
         );
         assert_eq!(
             slice_ends(&mut m, 0),
-            [b_since + slice],
+            [b_since + SLICE],
             "A's slice end left with A, and B's slice is a full one"
         );
 

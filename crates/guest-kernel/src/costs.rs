@@ -1,94 +1,57 @@
 //! Calibrated costs of guest-kernel mechanisms.
 //!
 //! Absolute microsecond numbers are properties of the paper's testbed; we
-//! encode them as a [`GuestCosts`] table (defaults taken from Tables 1
-//! and 3 of the paper and typical Linux figures of the era) so every
-//! mechanism action charges realistic virtual CPU time, and so the Table 3
-//! bench can print the same breakdown.
+//! encode them as constants (taken from Tables 1 and 3 of the paper and
+//! typical Linux figures of the era) so every mechanism action charges
+//! realistic virtual CPU time, and so the Table 1 and Table 3 benches can
+//! print the same breakdown. The one cost callers set per guest, softirq
+//! work per network event, is [`GuestConfig::softirq_net`](crate::GuestConfig::softirq_net).
 
 use sim_core::time::SimDuration;
 
-/// Cost table for kernel mechanism actions.
-#[derive(Clone, Copy, Debug)]
-pub struct GuestCosts {
-    /// System-call entry/exit (Table 1/3 step 1): 0.69 µs.
-    pub syscall: SimDuration,
-    /// Acquire+release of `cpu_freeze_lock` with IRQ save/restore
-    /// (Table 3 step 2): 0.06 µs.
-    pub freeze_lock: SimDuration,
-    /// Setting a bit of `cpu_freeze_mask` (Table 3 step 3): 0.03 µs.
-    pub freeze_mask_update: SimDuration,
-    /// Updating sched-domain/group power under an RCU lock
-    /// (Table 3 step 4): 0.12 µs.
-    pub group_power_update: SimDuration,
-    /// One hypercall (Table 3 step 5): 0.22 µs.
-    pub hypercall: SimDuration,
-    /// Sending a reschedule IPI (Table 3 step 6): 0.98 µs.
-    pub ipi_send: SimDuration,
-    /// Migrating one thread between runqueues (Table 3, target side):
-    /// 0.9–1.1 µs; we charge the midpoint.
-    pub thread_migration: SimDuration,
-    /// Rebinding one device interrupt (Table 3, target side): 0.8–1.2 µs.
-    pub irq_migration: SimDuration,
-    /// One timer-interrupt handler invocation.
-    pub timer_tick: SimDuration,
-    /// One external-interrupt handler invocation (top half).
-    pub irq_handler: SimDuration,
-    /// Softirq work per network event (protocol processing).
-    pub softirq_net: SimDuration,
-    /// A context switch between threads.
-    pub context_switch: SimDuration,
-    /// A `futex_wait`/`futex_wake` syscall body.
-    pub futex_syscall: SimDuration,
-    /// Latency of a virtual IPI between two *running* vCPUs.
-    pub ipi_latency: SimDuration,
-}
+/// System-call entry/exit (Table 1/3 step 1): 0.69 µs.
+pub const SYSCALL: SimDuration = SimDuration::from_ns(690);
+/// Acquire+release of `cpu_freeze_lock` with IRQ save/restore
+/// (Table 3 step 2): 0.06 µs.
+pub const FREEZE_LOCK: SimDuration = SimDuration::from_ns(60);
+/// Setting a bit of `cpu_freeze_mask` (Table 3 step 3): 0.03 µs.
+pub const FREEZE_MASK_UPDATE: SimDuration = SimDuration::from_ns(30);
+/// Updating sched-domain/group power under an RCU lock
+/// (Table 3 step 4): 0.12 µs.
+pub const GROUP_POWER_UPDATE: SimDuration = SimDuration::from_ns(120);
+/// One hypercall (Table 1 step 2, Table 3 step 5): 0.22 µs.
+pub const HYPERCALL: SimDuration = SimDuration::from_ns(220);
+/// Sending a reschedule IPI (Table 3 step 6): 0.98 µs.
+pub const IPI_SEND: SimDuration = SimDuration::from_ns(980);
+/// Migrating one thread between runqueues (Table 3, target side):
+/// 0.9–1.1 µs; we charge the midpoint.
+pub const THREAD_MIGRATION: SimDuration = SimDuration::from_ns(1_000);
+/// Rebinding one device interrupt (Table 3, target side): 0.8–1.2 µs.
+pub const IRQ_MIGRATION: SimDuration = SimDuration::from_ns(1_000);
+/// One timer-interrupt handler invocation.
+pub const TIMER_TICK: SimDuration = SimDuration::from_us(2);
+/// One external-interrupt handler invocation (top half).
+pub const IRQ_HANDLER: SimDuration = SimDuration::from_us(5);
+/// A context switch between threads.
+pub const CONTEXT_SWITCH: SimDuration = SimDuration::from_ns(1_500);
+/// A `futex_wait`/`futex_wake` syscall body.
+pub const FUTEX_SYSCALL: SimDuration = SimDuration::from_ns(800);
 
-impl Default for GuestCosts {
-    fn default() -> Self {
-        GuestCosts {
-            syscall: SimDuration::from_ns(690),
-            freeze_lock: SimDuration::from_ns(60),
-            freeze_mask_update: SimDuration::from_ns(30),
-            group_power_update: SimDuration::from_ns(120),
-            hypercall: SimDuration::from_ns(220),
-            ipi_send: SimDuration::from_ns(980),
-            thread_migration: SimDuration::from_ns(1_000),
-            irq_migration: SimDuration::from_ns(1_000),
-            timer_tick: SimDuration::from_us(2),
-            irq_handler: SimDuration::from_us(5),
-            softirq_net: SimDuration::from_us(15),
-            context_switch: SimDuration::from_ns(1_500),
-            futex_syscall: SimDuration::from_ns(800),
-            ipi_latency: SimDuration::from_us(5),
-        }
-    }
-}
+/// Master-vCPU cost of one freeze/unfreeze operation — the Table 3
+/// sum: syscall + lock + mask + group power + hypercall + IPI
+/// ≈ 2.10 µs.
+pub const FREEZE_MASTER: SimDuration = SimDuration::from_ns(
+    SYSCALL.as_ns()
+        + FREEZE_LOCK.as_ns()
+        + FREEZE_MASK_UPDATE.as_ns()
+        + GROUP_POWER_UPDATE.as_ns()
+        + HYPERCALL.as_ns()
+        + IPI_SEND.as_ns(),
+);
 
-impl GuestCosts {
-    /// Master-vCPU cost of one freeze/unfreeze operation — the Table 3
-    /// sum: syscall + lock + mask + group power + hypercall + IPI
-    /// ≈ 2.10 µs.
-    pub fn freeze_master_total(&self) -> SimDuration {
-        self.syscall
-            + self.freeze_lock
-            + self.freeze_mask_update
-            + self.group_power_update
-            + self.hypercall
-            + self.ipi_send
-    }
-
-    /// Target-vCPU cost of evacuating `n_threads` threads.
-    pub fn freeze_target_total(&self, n_threads: usize) -> SimDuration {
-        self.thread_migration * n_threads as u64
-    }
-
-    /// Cost of one vScale channel read (Table 1): syscall + hypercall
-    /// ≈ 0.91 µs.
-    pub fn channel_read_total(&self) -> SimDuration {
-        self.syscall + self.hypercall
-    }
-}
+/// Cost of one vScale channel read (Table 1): syscall + hypercall
+/// ≈ 0.91 µs.
+pub const CHANNEL_READ: SimDuration = SimDuration::from_ns(SYSCALL.as_ns() + HYPERCALL.as_ns());
 
 #[cfg(test)]
 mod tests {
@@ -96,20 +59,11 @@ mod tests {
 
     #[test]
     fn table3_master_breakdown_sums_to_2_1us() {
-        let c = GuestCosts::default();
-        assert_eq!(c.freeze_master_total().as_ns(), 2_100);
+        assert_eq!(FREEZE_MASTER.as_ns(), 2_100);
     }
 
     #[test]
     fn table1_read_sums_to_0_91us() {
-        let c = GuestCosts::default();
-        assert_eq!(c.channel_read_total().as_ns(), 910);
-    }
-
-    #[test]
-    fn target_cost_scales_with_thread_count() {
-        let c = GuestCosts::default();
-        assert_eq!(c.freeze_target_total(0), SimDuration::ZERO);
-        assert_eq!(c.freeze_target_total(8).as_us(), 8);
+        assert_eq!(CHANNEL_READ.as_ns(), 910);
     }
 }

@@ -120,41 +120,24 @@ impl HotplugModel {
     }
 }
 
-/// Backoff parameters for retrying aborted hotplug removals.
-#[derive(Clone, Copy, Debug)]
-pub struct HotplugRetryPolicy {
-    /// Hold-off after the first abort; doubles per consecutive abort.
-    pub base: SimDuration,
-    /// Ceiling of the exponential hold-off.
-    pub cap: SimDuration,
-    /// Consecutive aborts tolerated before the daemon gives up on the
-    /// removal for a long cool-down (4 × `cap`).
-    pub budget: u32,
+/// Hold-off after the first aborted hotplug removal; doubles per
+/// consecutive abort.
+pub const HOTPLUG_RETRY_BASE: SimDuration = SimDuration::from_ms(20);
+/// Ceiling of the exponential hold-off.
+pub const HOTPLUG_RETRY_CAP: SimDuration = SimDuration::from_ms(160);
+/// Consecutive aborts tolerated before the daemon gives up on the
+/// removal for a long cool-down (4 × [`HOTPLUG_RETRY_CAP`]).
+pub const HOTPLUG_RETRY_BUDGET: u32 = 5;
+
+/// Hold-off after consecutive abort number `aborts` (1-based):
+/// `HOTPLUG_RETRY_BASE << (aborts - 1)`, capped at [`HOTPLUG_RETRY_CAP`].
+fn retry_hold(aborts: u32) -> SimDuration {
+    let shift = aborts.saturating_sub(1).min(31);
+    SimDuration::from_ns((HOTPLUG_RETRY_BASE.as_ns() << shift).min(HOTPLUG_RETRY_CAP.as_ns()))
 }
 
-impl Default for HotplugRetryPolicy {
-    fn default() -> Self {
-        HotplugRetryPolicy {
-            base: SimDuration::from_ms(20),
-            cap: SimDuration::from_ms(160),
-            budget: 5,
-        }
-    }
-}
-
-impl HotplugRetryPolicy {
-    /// Hold-off after consecutive abort number `aborts` (1-based):
-    /// `base << (aborts - 1)`, capped.
-    pub fn hold(&self, aborts: u32) -> SimDuration {
-        let shift = aborts.saturating_sub(1).min(31);
-        SimDuration::from_ns((self.base.as_ns() << shift).min(self.cap.as_ns()))
-    }
-
-    /// The cool-down after the abort budget is exhausted.
-    pub fn cooldown(&self) -> SimDuration {
-        SimDuration::from_ns(self.cap.as_ns() * 4)
-    }
-}
+/// The cool-down after the abort budget is exhausted.
+const RETRY_COOLDOWN: SimDuration = SimDuration::from_ns(HOTPLUG_RETRY_CAP.as_ns() * 4);
 
 /// Per-domain retry state for aborted hotplug removals.
 ///
@@ -162,7 +145,7 @@ impl HotplugRetryPolicy {
 /// vCPU stays online), but immediately re-attempting a removal that a
 /// notifier just vetoed wastes whole-guest stalls. The daemon therefore
 /// backs off exponentially between attempts and, after
-/// [`HotplugRetryPolicy::budget`] consecutive aborts, gives the removal up
+/// [`HOTPLUG_RETRY_BUDGET`] consecutive aborts, gives the removal up
 /// for a long cool-down before starting a fresh cycle.
 #[derive(Clone, Debug)]
 pub struct HotplugRetry {
@@ -192,16 +175,16 @@ impl HotplugRetry {
 
     /// Records an aborted removal at `now` and arms the next hold-off.
     /// Returns the hold-off applied.
-    pub fn on_abort(&mut self, now: SimTime, policy: &HotplugRetryPolicy) -> SimDuration {
+    pub fn on_abort(&mut self, now: SimTime) -> SimDuration {
         self.consecutive_aborts += 1;
-        let hold = if self.consecutive_aborts > policy.budget {
+        let hold = if self.consecutive_aborts > HOTPLUG_RETRY_BUDGET {
             // Budget exhausted: long cool-down, then a fresh cycle.
             self.giveups += 1;
             self.consecutive_aborts = 0;
-            policy.cooldown()
+            RETRY_COOLDOWN
         } else {
             self.retries += 1;
-            policy.hold(self.consecutive_aborts)
+            retry_hold(self.consecutive_aborts)
         };
         self.hold_until = now + hold;
         hold
@@ -236,50 +219,34 @@ mod tests {
 
     #[test]
     fn retry_backoff_doubles_caps_and_gives_up() {
-        let p = HotplugRetryPolicy::default();
         let mut r = HotplugRetry::default();
         let t0 = SimTime::ZERO;
         assert!(r.allows(t0));
-        assert_eq!(r.on_abort(t0, &p), SimDuration::from_ms(20));
+        assert_eq!(r.on_abort(t0), SimDuration::from_ms(20));
         assert!(!r.allows(SimTime::from_ms(10)));
         assert!(r.allows(SimTime::from_ms(20)));
+        assert_eq!(r.on_abort(SimTime::from_ms(20)), SimDuration::from_ms(40));
+        assert_eq!(r.on_abort(SimTime::from_ms(60)), SimDuration::from_ms(80));
+        assert_eq!(r.on_abort(SimTime::from_ms(140)), SimDuration::from_ms(160));
         assert_eq!(
-            r.on_abort(SimTime::from_ms(20), &p),
-            SimDuration::from_ms(40)
-        );
-        assert_eq!(
-            r.on_abort(SimTime::from_ms(60), &p),
-            SimDuration::from_ms(80)
-        );
-        assert_eq!(
-            r.on_abort(SimTime::from_ms(140), &p),
-            SimDuration::from_ms(160)
-        );
-        assert_eq!(
-            r.on_abort(SimTime::from_ms(300), &p),
+            r.on_abort(SimTime::from_ms(300)),
             SimDuration::from_ms(160),
             "capped"
         );
         assert_eq!(r.retries(), 5);
         // The sixth consecutive abort exhausts the budget (5): a long
         // cool-down, then a fresh cycle starting at the base hold-off.
-        assert_eq!(
-            r.on_abort(SimTime::from_ms(460), &p),
-            SimDuration::from_ms(640)
-        );
+        assert_eq!(r.on_abort(SimTime::from_ms(460)), SimDuration::from_ms(640));
         assert_eq!(r.giveups(), 1);
         assert_eq!(
-            r.on_abort(SimTime::from_ms(1100), &p),
+            r.on_abort(SimTime::from_ms(1100)),
             SimDuration::from_ms(20),
             "fresh cycle"
         );
         // A success ends the streak and clears the hold-off.
         r.on_success();
         assert!(r.allows(SimTime::from_ms(1101)));
-        assert_eq!(
-            r.on_abort(SimTime::from_ms(1101), &p),
-            SimDuration::from_ms(20)
-        );
+        assert_eq!(r.on_abort(SimTime::from_ms(1101)), SimDuration::from_ms(20));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use sim_core::ids::{ThreadId, VcpuId};
 use sim_core::time::{SimDuration, SimTime};
 
 use crate::balancer::FreezeMask;
-use crate::costs::GuestCosts;
+use crate::costs;
 use crate::klock::{KlockPolicy, KlockTable};
 use crate::sync::{BarrierArrival, SyncTable};
 use crate::thread::{
@@ -231,23 +231,28 @@ pub enum GuestEffect {
     Replan(VcpuId),
 }
 
-/// Configuration of the guest kernel.
+/// Timer-tick period (paper guests: 1000 Hz).
+pub const TICK_PERIOD: SimDuration = SimDuration::from_ms(1);
+/// Periodic load balance every this many ticks.
+pub const TICKS_PER_BALANCE: u32 = 4;
+/// Minimum vruntime lead before a tick preempts the current thread.
+pub const WAKEUP_GRANULARITY: SimDuration = SimDuration::from_us(500);
+/// Sleeper placement bonus on wakeup.
+pub const SLEEPER_BONUS: SimDuration = SimDuration::from_ms(3);
+
+/// Configuration of the guest kernel. The fixed timing and cost
+/// constants are [`TICK_PERIOD`], [`TICKS_PER_BALANCE`],
+/// [`WAKEUP_GRANULARITY`], [`SLEEPER_BONUS`] and the [`crate::costs`]
+/// table.
 #[derive(Clone, Debug)]
 pub struct GuestConfig {
     /// Number of vCPUs.
     pub n_vcpus: usize,
-    /// Mechanism cost table.
-    pub costs: GuestCosts,
-    /// Timer-tick period (paper guests: 1000 Hz).
-    pub tick_period: SimDuration,
-    /// Periodic load balance every this many ticks.
-    pub ticks_per_balance: u32,
-    /// Minimum vruntime lead before a tick preempts the current thread.
-    pub wakeup_granularity: SimDuration,
-    /// Sleeper placement bonus on wakeup.
-    pub sleeper_bonus: SimDuration,
     /// Kernel spinlock policy (pv-spinlock on/off).
     pub klock_policy: KlockPolicy,
+    /// Softirq work per network event (protocol processing). 15 µs by
+    /// default; the web-serving experiments charge 25 µs.
+    pub softirq_net: SimDuration,
 }
 
 impl GuestConfig {
@@ -255,12 +260,8 @@ impl GuestConfig {
     pub fn new(n_vcpus: usize) -> Self {
         GuestConfig {
             n_vcpus,
-            costs: GuestCosts::default(),
-            tick_period: SimDuration::from_ms(1),
-            ticks_per_balance: 4,
-            wakeup_granularity: SimDuration::from_us(500),
-            sleeper_bonus: SimDuration::from_ms(3),
             klock_policy: KlockPolicy::TicketSpin,
+            softirq_net: SimDuration::from_us(15),
         }
     }
 
@@ -694,7 +695,7 @@ impl GuestKernel {
         debug_assert!(!self.vcpus[vi].running, "{v} started twice");
         self.vcpus[vi].running = true;
         self.vcpus[vi].last_advanced = now;
-        self.vcpus[vi].next_tick = now + self.config.tick_period;
+        self.vcpus[vi].next_tick = now + TICK_PERIOD;
         self.vcpus[vi].pv_blocked = false;
         if self.vcpus[vi].pending_resched {
             self.vcpus[vi].pending_resched = false;
@@ -809,9 +810,9 @@ impl GuestKernel {
     fn fire_tick(&mut self, v: VcpuId, now: SimTime, fx: &mut [GuestEffect]) {
         let vi = v.index();
         self.vcpus[vi].timer_ints += 1;
-        self.vcpus[vi].next_tick = now + self.config.tick_period;
+        self.vcpus[vi].next_tick = now + TICK_PERIOD;
         self.vcpus[vi].ticks_since_balance += 1;
-        self.push_kwork(v, now, self.config.costs.timer_tick, None);
+        self.push_kwork(v, now, costs::TIMER_TICK, None);
         // CFS tick preemption.
         if let Some(tid) = self.vcpus[vi].current {
             let preemptible = self.threads[tid.index()]
@@ -821,14 +822,14 @@ impl GuestKernel {
             if preemptible {
                 if let Some((minv, _)) = self.vcpus[vi].rq.peek_min() {
                     let cur_v = self.threads[tid.index()].vruntime;
-                    if cur_v > minv + self.config.wakeup_granularity.as_ns() {
+                    if cur_v > minv + WAKEUP_GRANULARITY.as_ns() {
                         self.preempt_current(v, now, fx);
                     }
                 }
             }
         }
         // Periodic load balance.
-        if self.vcpus[vi].ticks_since_balance >= self.config.ticks_per_balance {
+        if self.vcpus[vi].ticks_since_balance >= TICKS_PER_BALANCE {
             self.vcpus[vi].ticks_since_balance = 0;
             self.periodic_balance(v, now, fx);
         }
@@ -841,7 +842,7 @@ impl GuestKernel {
             t.state = TState::Ready;
             let vr = t.vruntime;
             self.vcpus[vi].rq.enqueue(tid, vr);
-            self.push_kwork(v, now, self.config.costs.context_switch, None);
+            self.push_kwork(v, now, costs::CONTEXT_SWITCH, None);
             self.stats.context_switches += 1;
         }
     }
@@ -885,7 +886,7 @@ impl GuestKernel {
                     self.sync.barriers[bar.0].block(tid);
                     self.stats.futex_waits += 1;
                     self.threads[tid.index()].activity = Some(Activity::Overhead {
-                        remaining: self.config.costs.futex_syscall,
+                        remaining: costs::FUTEX_SYSCALL,
                         then: Then::Block(BlockReason::Barrier(bar, generation)),
                     });
                 }
@@ -1031,7 +1032,7 @@ impl GuestKernel {
                         self.threads[tid.index()].state = TState::Running;
                         self.threads[tid.index()].last_vcpu = v;
                         self.vcpus[vi].current = Some(tid);
-                        self.push_kwork(v, now, self.config.costs.context_switch, None);
+                        self.push_kwork(v, now, costs::CONTEXT_SWITCH, None);
                         self.stats.context_switches += 1;
                         continue; // Run the switch cost first.
                     }
@@ -1050,7 +1051,7 @@ impl GuestKernel {
             if self.threads[tid.index()].activity.is_some() {
                 // Restart the tick clock if it was parked by an idle spell.
                 if self.vcpus[vi].next_tick == SimTime::MAX {
-                    self.vcpus[vi].next_tick = now + self.config.tick_period;
+                    self.vcpus[vi].next_tick = now + TICK_PERIOD;
                 }
                 return; // An activity is installed; the plan covers it.
             }
@@ -1086,7 +1087,6 @@ impl GuestKernel {
             active_vcpus: self.active_vcpus(),
         };
         let action = self.threads[tid.index()].program.next(ctx);
-        let costs = self.config.costs;
         let act: Option<Activity> = match action {
             ThreadAction::Compute(d) => Some(Activity::Compute {
                 // A zero-length compute would loop at one instant forever.
@@ -1095,7 +1095,7 @@ impl GuestKernel {
             ThreadAction::BarrierWait(bar) => {
                 match self.sync.barriers[bar.0].arrive(tid) {
                     BarrierArrival::Release { n_blocked } => {
-                        let wake_cost = costs.futex_syscall * n_blocked as u64;
+                        let wake_cost = costs::FUTEX_SYSCALL * n_blocked as u64;
                         let mut wake = std::mem::take(&mut self.wake_scratch);
                         self.sync.barriers[bar.0].drain_blocked(&mut wake);
                         debug_assert_eq!(wake.len(), n_blocked);
@@ -1135,7 +1135,7 @@ impl GuestKernel {
                             self.sync.barriers[bar.0].block(tid);
                             self.stats.futex_waits += 1;
                             Some(Activity::Overhead {
-                                remaining: costs.futex_syscall,
+                                remaining: costs::FUTEX_SYSCALL,
                                 then: Then::Block(BlockReason::Barrier(bar, generation)),
                             })
                         } else {
@@ -1157,7 +1157,7 @@ impl GuestKernel {
                 } else {
                     self.stats.futex_waits += 1;
                     Some(Activity::Overhead {
-                        remaining: costs.futex_syscall,
+                        remaining: costs::FUTEX_SYSCALL,
                         then: Then::Block(BlockReason::Mutex(m)),
                     })
                 }
@@ -1167,7 +1167,7 @@ impl GuestKernel {
                     self.stats.futex_wakes += 1;
                     self.wake_thread(next, Some(v), now, fx);
                     Some(Activity::Overhead {
-                        remaining: costs.futex_syscall,
+                        remaining: costs::FUTEX_SYSCALL,
                         then: Then::Dispatch,
                     })
                 } else {
@@ -1186,14 +1186,14 @@ impl GuestKernel {
                 self.sync.condvars[c.0].wait(tid);
                 self.stats.futex_waits += 1;
                 Some(Activity::Overhead {
-                    remaining: costs.futex_syscall,
+                    remaining: costs::FUTEX_SYSCALL,
                     then: Then::Block(BlockReason::Cond(c, m)),
                 })
             }
             ThreadAction::CondSignal(c) => {
                 self.requeue_cond_waiters(c, 1, v, now, fx);
                 Some(Activity::Overhead {
-                    remaining: costs.futex_syscall,
+                    remaining: costs::FUTEX_SYSCALL,
                     then: Then::Dispatch,
                 })
             }
@@ -1201,7 +1201,7 @@ impl GuestKernel {
                 let n = self.sync.condvars[c.0].waiter_count();
                 self.requeue_cond_waiters(c, n, v, now, fx);
                 Some(Activity::Overhead {
-                    remaining: costs.futex_syscall * (n.max(1)) as u64,
+                    remaining: costs::FUTEX_SYSCALL * (n.max(1)) as u64,
                     then: Then::Dispatch,
                 })
             }
@@ -1239,7 +1239,7 @@ impl GuestKernel {
                 } else {
                     self.stats.futex_waits += 1;
                     Some(Activity::Overhead {
-                        remaining: costs.futex_syscall,
+                        remaining: costs::FUTEX_SYSCALL,
                         then: Then::Block(BlockReason::Sem(sem)),
                     })
                 }
@@ -1249,7 +1249,7 @@ impl GuestKernel {
                     self.stats.futex_wakes += 1;
                     self.wake_thread(w, Some(v), now, fx);
                     Some(Activity::Overhead {
-                        remaining: costs.futex_syscall,
+                        remaining: costs::FUTEX_SYSCALL,
                         then: Then::Dispatch,
                     })
                 } else {
@@ -1284,7 +1284,7 @@ impl GuestKernel {
                     self.io_queues[q.0].waiters.push_back(tid);
                     self.stats.futex_waits += 1;
                     Some(Activity::Overhead {
-                        remaining: costs.futex_syscall,
+                        remaining: costs::FUTEX_SYSCALL,
                         then: Then::Block(BlockReason::Io(q)),
                     })
                 }
@@ -1314,7 +1314,7 @@ impl GuestKernel {
                 t.state = TState::Ready;
                 let vr = t.vruntime;
                 self.vcpus[v.index()].rq.enqueue(tid, vr);
-                self.push_kwork(v, now, costs.context_switch, None);
+                self.push_kwork(v, now, costs::CONTEXT_SWITCH, None);
                 self.stats.context_switches += 1;
                 return false;
             }
@@ -1427,7 +1427,7 @@ impl GuestKernel {
         let vr = self.threads[tid.index()].vruntime;
         let placed = self.vcpus[dest.index()]
             .rq
-            .place_woken(tid, vr, self.config.sleeper_bonus);
+            .place_woken(tid, vr, SLEEPER_BONUS);
         self.threads[tid.index()].vruntime = placed;
         // IPI decision: remote destination that is idle, off-pCPU, or
         // should preempt gets a kick; a busy same-vCPU enqueue does not.
@@ -1444,7 +1444,7 @@ impl GuestKernel {
                             .activity
                             .map(|a| a.preemptible())
                             .unwrap_or(true)
-                            && placed + self.config.wakeup_granularity.as_ns()
+                            && placed + WAKEUP_GRANULARITY.as_ns()
                                 < self.threads[c.index()].vruntime
                     })
                     .unwrap_or(false);
@@ -1457,7 +1457,7 @@ impl GuestKernel {
             // wake originates in-guest; external (timer/device) wakes are
             // charged in their own handlers.
             if from.is_some() {
-                self.push_kwork(f, now, self.config.costs.ipi_send, None);
+                self.push_kwork(f, now, costs::IPI_SEND, None);
             }
             fx.push(GuestEffect::SendResched { from: f, to: dest });
         } else if from == Some(dest) {
@@ -1518,9 +1518,7 @@ impl GuestKernel {
                 .unwrap_or(true);
             if preemptible {
                 if let Some((minv, _)) = self.vcpus[vi].rq.peek_min() {
-                    if minv + self.config.wakeup_granularity.as_ns()
-                        < self.threads[tid.index()].vruntime
-                    {
+                    if minv + WAKEUP_GRANULARITY.as_ns() < self.threads[tid.index()].vruntime {
                         self.preempt_current(v, now, fx);
                     }
                 }
@@ -1561,7 +1559,7 @@ impl GuestKernel {
         }
         self.threads[tid.index()].last_vcpu = v;
         self.vcpus[v.index()].rq.enqueue(tid, vr);
-        self.push_kwork(v, now, self.config.costs.thread_migration, None);
+        self.push_kwork(v, now, costs::THREAD_MIGRATION, None);
         self.stats.thread_migrations += 1;
         true
     }
@@ -1590,7 +1588,7 @@ impl GuestKernel {
             }
             self.threads[tid.index()].last_vcpu = v;
             self.vcpus[v.index()].rq.enqueue(tid, vr);
-            self.push_kwork(v, now, self.config.costs.thread_migration, None);
+            self.push_kwork(v, now, costs::THREAD_MIGRATION, None);
             self.stats.thread_migrations += 1;
         }
     }
@@ -1605,7 +1603,7 @@ impl GuestKernel {
         now: SimTime,
         fx: &mut Vec<GuestEffect>,
     ) {
-        self.push_kwork(from, now, self.config.costs.thread_migration, None);
+        self.push_kwork(from, now, costs::THREAD_MIGRATION, None);
         self.stats.thread_migrations += 1;
         self.make_runnable(tid, Some(from), now, fx);
     }
@@ -1640,7 +1638,7 @@ impl GuestKernel {
     /// Master-side freeze of `target` (Algorithm 2, steps (1)–(4)).
     ///
     /// The caller (the daemon path) must have charged the master-side cost
-    /// ([`GuestCosts::freeze_master_total`]) on vCPU0. Emits the hypercall
+    /// ([`costs::FREEZE_MASTER`]) on vCPU0. Emits the hypercall
     /// and the prioritized reconfiguration kick.
     ///
     /// # Panics
@@ -1731,7 +1729,7 @@ impl GuestKernel {
         self.advance(v, now);
         let vi = v.index();
         self.vcpus[vi].io_irqs += 1;
-        let cost = self.config.costs.irq_handler + self.config.costs.softirq_net * items;
+        let cost = costs::IRQ_HANDLER + self.config.softirq_net * items;
         self.push_kwork(v, now, cost, None);
         self.io_complete(q, items, v, now, fx);
         if self.vcpus[vi].running {
@@ -2767,84 +2765,5 @@ mod behaviour_tests {
         h.run_until(SimTime::from_secs(1));
         assert_eq!(h.exited.len(), 1);
         assert!(h.k.thread_runtime(t) >= SimDuration::from_us(500));
-    }
-}
-
-impl GuestKernel {
-    /// Renders a `/proc/interrupts`-style snapshot — the view the paper's
-    /// Table 2 experiment reads inside the guest.
-    pub fn proc_interrupts(&self) -> String {
-        use std::fmt::Write as _;
-        let n = self.vcpus.len();
-        let mut out = String::new();
-        let _ = write!(out, "{:>12}", "");
-        for i in 0..n {
-            let _ = write!(out, "{:>10}", format!("CPU{i}"));
-        }
-        let _ = writeln!(out);
-        let _ = write!(out, "{:>12}", "LOC:");
-        for v in &self.vcpus {
-            let _ = write!(out, "{:>10}", v.timer_ints);
-        }
-        let _ = writeln!(out, "   Local timer interrupts");
-        let _ = write!(out, "{:>12}", "RES:");
-        for v in &self.vcpus {
-            let _ = write!(out, "{:>10}", v.resched_ipis);
-        }
-        let _ = writeln!(out, "   Rescheduling interrupts");
-        let _ = write!(out, "{:>12}", "IO:");
-        for v in &self.vcpus {
-            let _ = write!(out, "{:>10}", v.io_irqs);
-        }
-        let _ = writeln!(out, "   Device (event channel) interrupts");
-        let _ = write!(out, "{:>12}", "state:");
-        for (i, v) in self.vcpus.iter().enumerate() {
-            let st = if !v.online {
-                "offline"
-            } else if self.freeze_mask.is_frozen(VcpuId(i)) {
-                "frozen"
-            } else {
-                "active"
-            };
-            let _ = write!(out, "{:>10}", st);
-        }
-        let _ = writeln!(out);
-        out
-    }
-}
-
-#[cfg(test)]
-mod procfs_tests {
-    use super::tests::MiniHost;
-    use super::*;
-    use crate::thread::OneShot;
-
-    #[test]
-    fn proc_interrupts_reports_counters_and_states() {
-        let mut k = GuestKernel::new(GuestConfig::new(2));
-        let t = k.spawn(
-            ThreadKind::User,
-            Box::new(OneShot::new(SimDuration::from_ms(5))),
-        );
-        let mut fx = Vec::new();
-        k.start_thread(t, SimTime::ZERO, &mut fx);
-        k.freeze_vcpu(VcpuId(1), SimTime::ZERO, &mut fx);
-        let mut h = MiniHost::new(k);
-        h.route(fx);
-        h.start_all();
-        h.run_until(SimTime::from_secs(1));
-        let snap = h.k.proc_interrupts();
-        assert!(snap.contains("CPU0"), "{snap}");
-        assert!(snap.contains("CPU1"));
-        assert!(snap.contains("Local timer interrupts"));
-        assert!(snap.contains("frozen"), "{snap}");
-        assert!(snap.contains("active"));
-        // vCPU0 ticked at 1000 Hz for ~5 ms; vCPU1 (frozen) shows 0.
-        let loc_line = snap.lines().find(|l| l.contains("LOC:")).unwrap();
-        let cols: Vec<&str> = loc_line.split_whitespace().collect();
-        let cpu0: u64 = cols[1].parse().unwrap();
-        let cpu1: u64 = cols[2].parse().unwrap();
-        assert!(cpu0 >= 4, "{snap}");
-        assert_eq!(cpu1, 0, "{snap}");
     }
 }

@@ -16,7 +16,7 @@
 //!   the freeze mask, interrupts with dynticks, the freeze/unfreeze
 //!   protocol, and `stop_machine` stalls for the hotplug baseline.
 //! - [`hotplug`] — the Linux CPU-hotplug latency model (Figure 5).
-//! - [`costs`] — the calibrated mechanism cost table (Tables 1 and 3).
+//! - [`costs`] — the calibrated mechanism costs (Tables 1 and 3).
 
 pub mod balancer;
 pub mod costs;
@@ -28,8 +28,7 @@ pub mod sync;
 pub mod thread;
 
 pub use balancer::{FailSafe, FreezeMask, FreezeRateGate};
-pub use costs::GuestCosts;
-pub use hotplug::{HotplugModel, HotplugRetry, HotplugRetryPolicy, KernelVersion};
+pub use hotplug::{HotplugModel, HotplugRetry, KernelVersion};
 pub use kernel::{GuestConfig, GuestEffect, GuestKernel, GuestStats, TState};
 pub use klock::KlockPolicy;
 pub use sim_core::ids::{ThreadId, VcpuId};

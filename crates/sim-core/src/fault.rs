@@ -16,9 +16,9 @@
 //!
 //! The second half of this module is the graceful-degradation contract:
 //! [`SimError`] is the typed, diagnosable alternative to a panic for the
-//! cross-layer hot paths, and [`WatchdogConfig`] bounds how long a run may
-//! spin (same-instant livelock) or stall (no virtual-time progress) before
-//! the embedding machine reports *which layer* wedged instead of hanging.
+//! cross-layer hot paths: the embedding machine's watchdog bounds how long
+//! a run may spin (same-instant livelock) or stall (no virtual-time
+//! progress) and then reports *which layer* wedged instead of hanging.
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -458,29 +458,6 @@ impl FaultPlan {
     /// (e.g. picking the steal-spike victim vCPU).
     pub fn pick(&mut self, bound: u64) -> u64 {
         self.rng.below(bound.max(1))
-    }
-}
-
-/// Bounds on how long a simulation may spin or stall before the machine
-/// reports a [`SimError`] instead of hanging.
-#[derive(Clone, Copy, Debug)]
-pub struct WatchdogConfig {
-    /// Maximum events handled at one virtual instant before the run is
-    /// declared livelocked. Normal dispatch handles at most a few hundred
-    /// same-instant events (one per vCPU/port); the default is far above
-    /// any legitimate burst.
-    pub max_events_per_instant: u64,
-    /// How much virtual time may pass with no forward progress (no guest
-    /// work retired, no thread exited) before the run is declared stalled.
-    pub stall_timeout: SimDuration,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            max_events_per_instant: 100_000,
-            stall_timeout: SimDuration::from_secs(5),
-        }
     }
 }
 

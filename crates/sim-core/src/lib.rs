@@ -38,7 +38,7 @@ pub mod trace;
 pub use event::{EventHandle, EventQueue};
 pub use fault::{
     ChannelReadFault, DeliveryFault, Diagnostics, FaultConfig, FaultPlan, FaultStats, SimError,
-    SimErrorKind, WatchdogConfig,
+    SimErrorKind,
 };
 pub use rng::SimRng;
 pub use snap::{SnapReader, SnapWriter};

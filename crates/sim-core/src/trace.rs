@@ -146,11 +146,6 @@ impl TraceRing {
         }
     }
 
-    /// Turns tracing on or off.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Whether pushes are recorded.
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -238,9 +233,6 @@ mod tests {
         r.push(SimTime::ZERO, "t", "ignored");
         assert!(r.is_empty());
         assert_eq!(r.total_pushed(), 0);
-        r.set_enabled(true);
-        r.push(SimTime::ZERO, "t", "kept");
-        assert_eq!(r.len(), 1);
     }
 
     #[test]

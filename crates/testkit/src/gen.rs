@@ -110,16 +110,6 @@ pub fn tuple3<A: 'static, B: 'static, C: 'static>(
     Gen::new(move |src| (a.run(src), b.run(src), c.run(src)))
 }
 
-/// A 4-tuple of independent values.
-pub fn tuple4<A: 'static, B: 'static, C: 'static, D: 'static>(
-    a: Gen<A>,
-    b: Gen<B>,
-    c: Gen<C>,
-    d: Gen<D>,
-) -> Gen<(A, B, C, D)> {
-    Gen::new(move |src| (a.run(src), b.run(src), c.run(src), d.run(src)))
-}
-
 /// A 5-tuple of independent values.
 pub fn tuple5<A: 'static, B: 'static, C: 'static, D: 'static, E: 'static>(
     a: Gen<A>,

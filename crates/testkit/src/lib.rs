@@ -41,7 +41,7 @@ pub use differential::{
     check_pair, minimize_pair, replay, scenario_gen, BrokenFreezeScheduler, Op, Replay, Scenario,
 };
 pub use fault::{arb_duration, arb_fault_config, arb_rate};
-pub use gen::{bool_any, just, one_of, tuple2, tuple3, tuple4, tuple5, vec_of, Gen};
+pub use gen::{bool_any, just, one_of, tuple2, tuple3, tuple5, vec_of, Gen};
 pub use gen::{u32_in, u64_in, u8_in, usize_in};
 pub use runner::{find_minimal, run_prop, Config, Counterexample, PropResult};
 

@@ -40,6 +40,7 @@ use guest_kernel::thread::{ProgramCtx, ThreadAction, ThreadKind, ThreadProgram};
 use sim_core::time::{SimDuration, SimTime};
 use vscale::config::{DefenseConfig, DomainSpec};
 use vscale::{DomId, Machine};
+use xen_sched::credit::TICK;
 use xen_sched::HypervisorSched;
 
 /// The four attack classes (see the module docs for mechanics).
@@ -123,16 +124,13 @@ pub struct AntagonistSpec {
     /// Proportional-share weight (equal to the victim's by default: the
     /// attacks steal *beyond* the fair share, not via weight).
     pub weight: u32,
-    /// The hypervisor's nominal tick period the evader/farmer
-    /// phase-lock to (they assume the unjittered default grid).
-    pub tick: SimDuration,
     /// Period of the oscillation square wave.
     pub osc_period: SimDuration,
 }
 
 impl AntagonistSpec {
-    /// An antagonist with the grid's defaults: 2 vCPUs, weight 256, a
-    /// 10 ms tick assumption and a 240 ms oscillation period. The
+    /// An antagonist with the grid's defaults: 2 vCPUs, weight 256 and a
+    /// 240 ms oscillation period. The
     /// oscillation half-period (120 ms) is sized well past the victim
     /// daemon's EMA time constant (~50 ms at α=0.2 over 10 ms samples),
     /// so each phase fully swings the smoothed extendability and defeats
@@ -144,7 +142,6 @@ impl AntagonistSpec {
             mode,
             n_vcpus: 2,
             weight: 256,
-            tick: SimDuration::from_ms(10),
             osc_period: SimDuration::from_ms(240),
         }
     }
@@ -197,10 +194,10 @@ fn phase_ns(now: SimTime, period: SimDuration) -> u64 {
 
 /// Computes until `EVADE_GUARD` before the next predicted tick, then
 /// blocks across it, waking `EVADE_REST` (plus a per-thread stagger)
-/// after. Every `next` call re-derives the phase from `now`, so
-/// contention-induced drift self-corrects to the grid.
+/// after. The prediction is the hypervisor's nominal [`TICK`] grid (the
+/// attack assumes no jitter). Every `next` call re-derives the phase
+/// from `now`, so contention-induced drift self-corrects to the grid.
 struct TickEvader {
-    tick: SimDuration,
     mode: AntagonistMode,
     /// Per-thread wake stagger: sibling evaders that wake at the exact
     /// same instant race for the same pCPU and one queues behind the
@@ -213,10 +210,10 @@ struct TickEvader {
 
 impl ThreadProgram for TickEvader {
     fn next(&mut self, ctx: ProgramCtx) -> ThreadAction {
-        let on = self.tick.as_ns() - EVADE_GUARD.as_ns();
+        let on = TICK.as_ns() - EVADE_GUARD.as_ns();
         match self.mode {
             AntagonistMode::Adversarial => {
-                let to_tick = self.tick.as_ns() - phase_ns(ctx.now, self.tick);
+                let to_tick = TICK.as_ns() - phase_ns(ctx.now, TICK);
                 if to_tick > EVADE_GUARD.as_ns() {
                     ThreadAction::Compute(SimDuration::from_ns(to_tick - EVADE_GUARD.as_ns()))
                 } else {
@@ -243,13 +240,12 @@ impl ThreadProgram for TickEvader {
     }
 }
 
-sim_core::snap_struct!(TickEvader { resting } skip { tick, mode, stagger });
+sim_core::snap_struct!(TickEvader { resting } skip { mode, stagger });
 
 /// Short bursts, each begun by a timed self-wakeup (a fresh BOOST in
 /// credit), hiding across every predicted tick so the BOOST is never
 /// caught and demoted.
 struct BoostFarmer {
-    tick: SimDuration,
     mode: AntagonistMode,
     /// Per-thread wake stagger, same rationale as [`TickEvader::stagger`].
     stagger: SimDuration,
@@ -267,7 +263,7 @@ impl ThreadProgram for BoostFarmer {
     fn next(&mut self, ctx: ProgramCtx) -> ThreadAction {
         match self.mode {
             AntagonistMode::Adversarial => {
-                let to_tick = self.tick.as_ns() - phase_ns(ctx.now, self.tick);
+                let to_tick = TICK.as_ns() - phase_ns(ctx.now, TICK);
                 let starved = self.expect.is_some_and(|e| ctx.now > e + FARM_STALL);
                 if to_tick <= EVADE_GUARD.as_ns() {
                     // Hide across the sample point.
@@ -313,7 +309,7 @@ impl ThreadProgram for BoostFarmer {
     }
 }
 
-sim_core::snap_struct!(BoostFarmer { resting, expect } skip { tick, mode, stagger });
+sim_core::snap_struct!(BoostFarmer { resting, expect } skip { mode, stagger });
 
 /// Storm poster: posts the ping-pong semaphore between tiny compute
 /// chunks, raising one cross-vCPU reschedule IPI per post.
@@ -432,7 +428,6 @@ pub fn install_antagonist<S: HypervisorSched>(m: &mut Machine<S>, spec: Antagoni
                 threads.push(guest.spawn(
                     ThreadKind::User,
                     Box::new(TickEvader {
-                        tick: spec.tick,
                         mode: spec.mode,
                         stagger: EVADE_STAGGER * i as u64,
                         resting: false,
@@ -445,7 +440,6 @@ pub fn install_antagonist<S: HypervisorSched>(m: &mut Machine<S>, spec: Antagoni
                 threads.push(guest.spawn(
                     ThreadKind::User,
                     Box::new(BoostFarmer {
-                        tick: spec.tick,
                         mode: spec.mode,
                         stagger: EVADE_STAGGER * i as u64,
                         resting: false,

@@ -8,72 +8,31 @@
 //! decentralized** — it never touches dom0 — unlike the libxl toolstack
 //! path modeled in [`crate::libxl_model`].
 //!
-//! This module provides the channel abstraction plus the cost constants used
-//! to charge guest vCPU time for each read, and counts reads for the Table 1
-//! bench.
+//! This module provides the channel abstraction, which counts reads for
+//! the Table 1 bench; the guest kernel's cost table
+//! (`guest_kernel::costs::CHANNEL_READ`) prices each read.
 
 use sim_core::fault::ChannelReadFault;
-use sim_core::time::{SimDuration, SimTime};
+use sim_core::time::SimDuration;
 
 use crate::api::HypervisorSched;
 use crate::extend::ExtendInfo;
 use sim_core::ids::DomId;
 
-/// Measured costs of one channel read, from Table 1 of the paper.
-#[derive(Clone, Copy, Debug)]
-pub struct ChannelCosts {
-    /// Guest system-call entry/exit (`sys_getvscaleinfo`): 0.69 µs.
-    pub syscall: SimDuration,
-    /// Hypercall into Xen (`SCHEDOP_getvscaleinfo`): 0.22 µs.
-    pub hypercall: SimDuration,
-}
+/// Initial retransmit timeout after an unacknowledged doorbell ring
+/// (see [`DoorbellLink`]).
+pub const RETRANSMIT_RTO: SimDuration = SimDuration::from_us(500);
+/// Ceiling of the retransmit timeout's exponential backoff.
+pub const RETRANSMIT_CAP: SimDuration = SimDuration::from_ms(2);
+/// Retransmit attempts before the sender gives up and leaves recovery
+/// to the receiver's periodic re-scan.
+pub const RETRANSMIT_BUDGET: u32 = 4;
 
-impl Default for ChannelCosts {
-    fn default() -> Self {
-        ChannelCosts {
-            syscall: SimDuration::from_ns(690),
-            hypercall: SimDuration::from_ns(220),
-        }
-    }
-}
-
-impl ChannelCosts {
-    /// Total cost of one read.
-    pub fn total(&self) -> SimDuration {
-        self.syscall + self.hypercall
-    }
-}
-
-/// Backoff parameters for the sequence-numbered doorbell retransmit
-/// protocol (see [`DoorbellLink`]).
-#[derive(Clone, Copy, Debug)]
-pub struct RetransmitPolicy {
-    /// Initial retransmit timeout after an unacknowledged ring.
-    pub rto: SimDuration,
-    /// Ceiling of the exponential backoff.
-    pub cap: SimDuration,
-    /// Retransmit attempts before the sender gives up and leaves recovery
-    /// to the receiver's periodic re-scan.
-    pub budget: u32,
-}
-
-impl Default for RetransmitPolicy {
-    fn default() -> Self {
-        RetransmitPolicy {
-            rto: SimDuration::from_us(500),
-            cap: SimDuration::from_ms(2),
-            budget: 4,
-        }
-    }
-}
-
-impl RetransmitPolicy {
-    /// The timeout before retransmit attempt number `attempt` (0-based):
-    /// `rto << attempt`, capped.
-    pub fn timeout(&self, attempt: u32) -> SimDuration {
-        let shift = attempt.min(31);
-        SimDuration::from_ns((self.rto.as_ns() << shift).min(self.cap.as_ns()))
-    }
+/// The timeout before retransmit attempt number `attempt` (0-based):
+/// `RETRANSMIT_RTO << attempt`, capped at [`RETRANSMIT_CAP`].
+fn retransmit_timeout(attempt: u32) -> SimDuration {
+    let shift = attempt.min(31);
+    SimDuration::from_ns((RETRANSMIT_RTO.as_ns() << shift).min(RETRANSMIT_CAP.as_ns()))
 }
 
 /// Lifetime counters of one [`DoorbellLink`].
@@ -162,17 +121,17 @@ impl DoorbellLink {
     /// Advances the backoff after retransmit `seq` was also lost. Returns
     /// the delay until the next retransmit, or `None` when the budget is
     /// exhausted — the sequence is then abandoned to the periodic re-scan.
-    pub fn backoff(&mut self, seq: u64, policy: &RetransmitPolicy) -> Option<SimDuration> {
+    pub fn backoff(&mut self, seq: u64) -> Option<SimDuration> {
         if !self.is_outstanding(seq) {
             return None;
         }
         self.attempt += 1;
-        if self.attempt >= policy.budget {
+        if self.attempt >= RETRANSMIT_BUDGET {
             self.stats.exhausted += 1;
             self.outstanding = None;
             None
         } else {
-            Some(policy.timeout(self.attempt))
+            Some(retransmit_timeout(self.attempt))
         }
     }
 
@@ -209,15 +168,13 @@ pub struct ReliableRead {
     /// Whether the result is the last-good fallback rather than a fresh
     /// validated serve.
     pub fell_back: bool,
-    /// Total vCPU time to charge: one read cost per attempt.
-    pub cost: SimDuration,
 }
 
 /// The per-domain vScale channel endpoint.
 ///
-/// A thin view over the scheduler's stored [`ExtendInfo`] that counts reads
-/// and reports their cost, so the daemon's monitoring overhead can be
-/// charged to the vCPU it runs on.
+/// A thin view over the scheduler's stored [`ExtendInfo`] that counts
+/// reads. The caller charges each read's cost to the vCPU the daemon
+/// runs on.
 ///
 /// The endpoint remembers the previously served snapshot so fault
 /// injection can model the two ways a lock-free mailbox read goes wrong in
@@ -251,14 +208,9 @@ impl VscaleChannel {
     }
 
     /// Performs one read on behalf of `dom`: returns the latest
-    /// extendability and the vCPU time to charge for the read.
-    pub fn read<S: HypervisorSched>(
-        &mut self,
-        sched: &S,
-        dom: DomId,
-        costs: &ChannelCosts,
-    ) -> (ExtendInfo, SimDuration) {
-        self.read_faulted(sched, dom, costs, ChannelReadFault::Fresh)
+    /// extendability.
+    pub fn read<S: HypervisorSched>(&mut self, sched: &S, dom: DomId) -> ExtendInfo {
+        self.read_faulted(sched, dom, ChannelReadFault::Fresh)
     }
 
     /// Performs one read with an injected outcome.
@@ -278,12 +230,11 @@ impl VscaleChannel {
         &mut self,
         sched: &S,
         dom: DomId,
-        costs: &ChannelCosts,
         fault: ChannelReadFault,
-    ) -> (ExtendInfo, SimDuration) {
+    ) -> ExtendInfo {
         self.reads += 1;
         let fresh = sched.extendability(dom);
-        let served = match (fault, self.last) {
+        match (fault, self.last) {
             (ChannelReadFault::Fresh, _) | (_, None) => {
                 self.last = Some(fresh);
                 fresh
@@ -298,8 +249,7 @@ impl VscaleChannel {
                 computed_at: prev.computed_at,
                 period: SimDuration::ZERO,
             },
-        };
-        (served, costs.total())
+        }
     }
 
     /// Performs one *reliable* read: serves are validated against the
@@ -309,15 +259,13 @@ impl VscaleChannel {
     /// `fault`. When the budget runs out the read falls back to the last
     /// snapshot that ever passed both checks (`info: None` if there is no
     /// such snapshot yet — the caller should discard the period).
-    ///
-    /// The returned [`ReliableRead::cost`] charges one full read cost per
-    /// attempt, so retries are visible as daemon overhead, exactly like the
-    /// real protocol re-issuing `sys_getvscaleinfo`.
+    /// [`ReliableRead::retries`] counts the extra attempts, so the caller
+    /// can charge one full read cost for each, exactly like the real
+    /// protocol re-issuing `sys_getvscaleinfo`.
     pub fn read_reliable<S: HypervisorSched>(
         &mut self,
         sched: &S,
         dom: DomId,
-        costs: &ChannelCosts,
         budget: u32,
         mut fault: impl FnMut() -> ChannelReadFault,
     ) -> ReliableRead {
@@ -332,8 +280,7 @@ impl VscaleChannel {
                 (ChannelReadFault::Stale, true) => self.last_version,
                 _ => current,
             };
-            let (served, _) = self.read_faulted(sched, dom, costs, f);
-            let cost = SimDuration::from_ns(costs.total().as_ns() * u64::from(attempts));
+            let served = self.read_faulted(sched, dom, f);
             if served.validate().is_err() {
                 // Torn: the copy straddled a republication.
                 self.recovery.torn_detected += 1;
@@ -346,7 +293,6 @@ impl VscaleChannel {
                     info: self.last_good,
                     retries: attempts - 1,
                     fell_back: true,
-                    cost,
                 };
             }
             if served_version < current {
@@ -362,7 +308,6 @@ impl VscaleChannel {
                     info: self.last_good,
                     retries: attempts - 1,
                     fell_back: true,
-                    cost,
                 };
             }
             self.last_version = served_version;
@@ -371,7 +316,6 @@ impl VscaleChannel {
                 info: Some(served),
                 retries: attempts - 1,
                 fell_back: false,
-                cost,
             };
         }
     }
@@ -384,12 +328,6 @@ impl VscaleChannel {
     /// Number of reads performed.
     pub fn reads(&self) -> u64 {
         self.reads
-    }
-
-    /// How old the remembered snapshot is at `now` — the staleness a
-    /// [`Stale`](ChannelReadFault::Stale) read would serve.
-    pub fn snapshot_age(&self, now: SimTime) -> Option<SimDuration> {
-        self.last.map(|s| now.since(s.computed_at))
     }
 }
 
@@ -440,14 +378,6 @@ mod tests {
     use sim_core::time::SimTime;
 
     #[test]
-    fn default_costs_match_table1() {
-        let c = ChannelCosts::default();
-        assert_eq!(c.syscall.as_ns(), 690);
-        assert_eq!(c.hypercall.as_ns(), 220);
-        assert_eq!(c.total().as_ns(), 910);
-    }
-
-    #[test]
     fn read_returns_latest_extendability_and_counts() {
         let mut sched = CreditScheduler::new(CreditConfig::default(), 2);
         let dom = sched.create_domain(256, 2, None, None);
@@ -475,8 +405,7 @@ mod tests {
         sched.on_extend_tick(SimTime::from_ms(10));
 
         let mut ch = VscaleChannel::new();
-        let (info, cost) = ch.read(&sched, dom, &ChannelCosts::default());
-        assert_eq!(cost.as_ns(), 910);
+        let info = ch.read(&sched, dom);
         assert_eq!(ch.reads(), 1);
         // Sole busy domain on 2 pCPUs: it can extend to both.
         assert_eq!(info.n_opt, 2);
@@ -505,54 +434,42 @@ mod tests {
         let mut ch = VscaleChannel::new();
         // First read is fresh even under an injected stale fault: there is
         // nothing older to serve.
-        let (first, _) = ch.read_faulted(
-            &sched,
-            dom,
-            &ChannelCosts::default(),
-            ChannelReadFault::Stale,
-        );
+        let first = ch.read_faulted(&sched, dom, ChannelReadFault::Stale);
         assert_eq!(first.computed_at, SimTime::from_ms(10));
 
         // Republish at t=20ms; a stale read still serves the t=10ms value.
         let (mut sched2, dom2) = ticked_sched_at(10);
         let mut ch2 = VscaleChannel::new();
-        ch2.read(&sched2, dom2, &ChannelCosts::default());
+        ch2.read(&sched2, dom2);
         sched2.on_tick(
             sim_core::ids::PcpuId(0),
             SimTime::from_ms(20),
             &mut Vec::new(),
         );
         sched2.on_extend_tick(SimTime::from_ms(20));
-        let (stale, _) = ch2.read_faulted(
-            &sched2,
-            dom2,
-            &ChannelCosts::default(),
-            ChannelReadFault::Stale,
-        );
+        let stale = ch2.read_faulted(&sched2, dom2, ChannelReadFault::Stale);
         assert_eq!(stale.computed_at, SimTime::from_ms(10));
         assert_eq!(stale.validate(), Ok(()), "stale reads are valid, just old");
-        assert_eq!(
-            ch2.snapshot_age(SimTime::from_ms(25)),
-            Some(SimDuration::from_ms(15))
-        );
         // A fresh read re-synchronizes.
-        let (fresh, _) = ch2.read(&sched2, dom2, &ChannelCosts::default());
+        let fresh = ch2.read(&sched2, dom2);
         assert_eq!(fresh.computed_at, SimTime::from_ms(20));
     }
 
     #[test]
     fn retransmit_backoff_doubles_and_caps() {
-        let p = RetransmitPolicy::default();
-        assert_eq!(p.timeout(0), SimDuration::from_us(500));
-        assert_eq!(p.timeout(1), SimDuration::from_ms(1));
-        assert_eq!(p.timeout(2), SimDuration::from_ms(2));
-        assert_eq!(p.timeout(3), SimDuration::from_ms(2), "capped");
-        assert_eq!(p.timeout(60), SimDuration::from_ms(2), "shift saturates");
+        assert_eq!(retransmit_timeout(0), SimDuration::from_us(500));
+        assert_eq!(retransmit_timeout(1), SimDuration::from_ms(1));
+        assert_eq!(retransmit_timeout(2), SimDuration::from_ms(2));
+        assert_eq!(retransmit_timeout(3), SimDuration::from_ms(2), "capped");
+        assert_eq!(
+            retransmit_timeout(60),
+            SimDuration::from_ms(2),
+            "shift saturates"
+        );
     }
 
     #[test]
     fn doorbell_link_acks_resolve_and_budget_exhausts() {
-        let p = RetransmitPolicy::default();
         let mut link = DoorbellLink::default();
         // A confirmed sequence: open then ack.
         let s0 = link.open();
@@ -563,13 +480,13 @@ mod tests {
         // An unconfirmed sequence walks the backoff ladder to exhaustion:
         // budget 4 allows 3 further delays after the first timeout fires.
         let s1 = link.open();
-        assert_eq!(link.backoff(s1, &p), Some(SimDuration::from_ms(1)));
-        assert_eq!(link.backoff(s1, &p), Some(SimDuration::from_ms(2)));
-        assert_eq!(link.backoff(s1, &p), Some(SimDuration::from_ms(2)));
-        assert_eq!(link.backoff(s1, &p), None, "budget exhausted");
+        assert_eq!(link.backoff(s1), Some(SimDuration::from_ms(1)));
+        assert_eq!(link.backoff(s1), Some(SimDuration::from_ms(2)));
+        assert_eq!(link.backoff(s1), Some(SimDuration::from_ms(2)));
+        assert_eq!(link.backoff(s1), None, "budget exhausted");
         assert!(!link.is_outstanding(s1), "abandoned to the re-scan");
         // A stale timer for a superseded/resolved seq never backs off.
-        assert_eq!(link.backoff(s1, &p), None);
+        assert_eq!(link.backoff(s1), None);
         let st = link.stats();
         assert_eq!((st.sent, st.acked, st.exhausted), (2, 1, 1));
     }
@@ -578,7 +495,7 @@ mod tests {
     fn reliable_read_retries_torn_serves() {
         let (mut sched, dom) = ticked_sched_at(10);
         let mut ch = VscaleChannel::new();
-        ch.read(&sched, dom, &ChannelCosts::default());
+        ch.read(&sched, dom);
         sched.on_tick(
             sim_core::ids::PcpuId(0),
             SimTime::from_ms(20),
@@ -586,14 +503,11 @@ mod tests {
         );
         sched.on_extend_tick(SimTime::from_ms(20));
         // First attempt torn, retry fresh: the read succeeds with one
-        // retry and double cost.
+        // retry.
         let mut outcomes = [ChannelReadFault::Torn, ChannelReadFault::Fresh].into_iter();
-        let r = ch.read_reliable(&sched, dom, &ChannelCosts::default(), 2, || {
-            outcomes.next().unwrap()
-        });
+        let r = ch.read_reliable(&sched, dom, 2, || outcomes.next().unwrap());
         assert_eq!(r.retries, 1);
         assert!(!r.fell_back);
-        assert_eq!(r.cost.as_ns(), 2 * 910);
         assert_eq!(r.info.unwrap().computed_at, SimTime::from_ms(20));
         assert_eq!(ch.recovery_stats().torn_detected, 1);
         assert_eq!(ch.recovery_stats().retries, 1);
@@ -604,9 +518,7 @@ mod tests {
         let (mut sched, dom) = ticked_sched_at(10);
         let mut ch = VscaleChannel::new();
         // Accept the version-1 snapshot: it becomes last-good.
-        let r = ch.read_reliable(&sched, dom, &ChannelCosts::default(), 1, || {
-            ChannelReadFault::Fresh
-        });
+        let r = ch.read_reliable(&sched, dom, 1, || ChannelReadFault::Fresh);
         let good = r.info.unwrap();
         assert_eq!(good.computed_at, SimTime::from_ms(10));
         // Republish, then serve nothing but stale: the budget (1 retry)
@@ -617,9 +529,7 @@ mod tests {
             &mut Vec::new(),
         );
         sched.on_extend_tick(SimTime::from_ms(20));
-        let r = ch.read_reliable(&sched, dom, &ChannelCosts::default(), 1, || {
-            ChannelReadFault::Stale
-        });
+        let r = ch.read_reliable(&sched, dom, 1, || ChannelReadFault::Stale);
         assert!(r.fell_back);
         assert_eq!(r.retries, 1);
         assert_eq!(r.info.unwrap().computed_at, good.computed_at);
@@ -627,14 +537,10 @@ mod tests {
         assert_eq!(ch.recovery_stats().fallbacks, 1);
         // A stale serve with no newer publication is current, not stale:
         // it must be accepted without a retry.
-        let r = ch.read_reliable(&sched, dom, &ChannelCosts::default(), 1, || {
-            ChannelReadFault::Fresh
-        });
+        let r = ch.read_reliable(&sched, dom, 1, || ChannelReadFault::Fresh);
         assert!(!r.fell_back);
         let before = ch.recovery_stats().retries;
-        let r2 = ch.read_reliable(&sched, dom, &ChannelCosts::default(), 1, || {
-            ChannelReadFault::Stale
-        });
+        let r2 = ch.read_reliable(&sched, dom, 1, || ChannelReadFault::Stale);
         assert!(!r2.fell_back, "no republication: the old serve is current");
         assert_eq!(r2.retries, 0);
         assert_eq!(ch.recovery_stats().retries, before);
@@ -645,19 +551,14 @@ mod tests {
     fn torn_read_is_always_detectable() {
         let (mut sched, dom) = ticked_sched_at(10);
         let mut ch = VscaleChannel::new();
-        ch.read(&sched, dom, &ChannelCosts::default());
+        ch.read(&sched, dom);
         sched.on_tick(
             sim_core::ids::PcpuId(0),
             SimTime::from_ms(20),
             &mut Vec::new(),
         );
         sched.on_extend_tick(SimTime::from_ms(20));
-        let (torn, _) = ch.read_faulted(
-            &sched,
-            dom,
-            &ChannelCosts::default(),
-            ChannelReadFault::Torn,
-        );
+        let torn = ch.read_faulted(&sched, dom, ChannelReadFault::Torn);
         assert!(
             torn.validate().is_err(),
             "a torn snapshot must fail validation: {torn:?}"

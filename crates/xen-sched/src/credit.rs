@@ -100,23 +100,28 @@ sim_core::snap_enum!(VcpuState {
 /// milliseconds.
 pub const KICK_THROTTLE_FACTOR: u64 = 5;
 
-/// Configuration of the credit scheduler.
+/// Tick period (credit burn + boost demotion). Xen default: 10 ms.
+pub const TICK: SimDuration = SimDuration::from_ms(10);
+/// Number of ticks per accounting pass. Xen default: 3 (30 ms).
+pub const TICKS_PER_ACCT: u64 = 3;
+/// The accounting period, [`TICKS_PER_ACCT`] ticks.
+pub const ACCT_PERIOD: SimDuration = SimDuration::from_ns(TICK.as_ns() * TICKS_PER_ACCT);
+/// Scheduling quantum. Xen default: 30 ms.
+pub const SLICE: SimDuration = SimDuration::from_ms(30);
+/// Minimum time a vCPU runs before a wakeup may preempt it. Xen
+/// default: 1 ms.
+pub const RATELIMIT: SimDuration = SimDuration::from_ms(1);
+/// Period of the vScale extendability ticker (`vscale_ticker_fn`).
+/// Paper default: 10 ms.
+pub const EXTEND_PERIOD: SimDuration = SimDuration::from_ms(10);
+
+/// Configuration of the credit scheduler: the switches an experiment
+/// flips. The Xen time constants are [`TICK`], [`TICKS_PER_ACCT`],
+/// [`SLICE`], [`RATELIMIT`] and [`EXTEND_PERIOD`].
 #[derive(Clone, Debug)]
 pub struct CreditConfig {
-    /// Tick period (credit burn + boost demotion). Xen default: 10 ms.
-    pub tick: SimDuration,
-    /// Number of ticks per accounting pass. Xen default: 3 (30 ms).
-    pub ticks_per_acct: u32,
-    /// Scheduling quantum. Xen default: 30 ms.
-    pub slice: SimDuration,
-    /// Minimum time a vCPU runs before a wakeup may preempt it. Xen
-    /// default: 1 ms.
-    pub ratelimit: SimDuration,
     /// Whether the BOOST mechanism is enabled (ablation knob).
     pub boost: bool,
-    /// Period of the vScale extendability ticker (`vscale_ticker_fn`).
-    /// Paper default: 10 ms.
-    pub extend_period: SimDuration,
     /// Historical-Xen *sampled* credit accounting: instead of charging
     /// exact run nanoseconds continuously, whoever occupies the pCPU at
     /// the tick is charged one whole tick of credit. This is the
@@ -127,7 +132,7 @@ pub struct CreditConfig {
     /// stay exact either way; only the credit balance is sampled.
     pub sampled_burn: bool,
     /// Defense: directed kicks may not evict a current occupant that has
-    /// run for less than [`CreditConfig::ratelimit`] (the kick still
+    /// run for less than [`RATELIMIT`] (the kick still
     /// wakes and enqueues the target at BOOST — only the immediate
     /// eviction is suppressed), and BOOST-priority wakeups may evict only
     /// an occupant that has run at least [`KICK_THROTTLE_FACTOR`]× the
@@ -142,12 +147,7 @@ pub struct CreditConfig {
 impl Default for CreditConfig {
     fn default() -> Self {
         CreditConfig {
-            tick: SimDuration::from_ms(10),
-            ticks_per_acct: 3,
-            slice: SimDuration::from_ms(30),
-            ratelimit: SimDuration::from_ms(1),
             boost: true,
-            extend_period: SimDuration::from_ms(10),
             sampled_burn: false,
             kick_throttle: false,
         }
@@ -157,8 +157,8 @@ impl Default for CreditConfig {
 /// A pCPU assignment change that the embedding machine must act on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SchedEvent {
-    /// `vcpu` now runs on `pcpu`; its slice nominally lasts
-    /// [`CreditConfig::slice`] but may be cut short by a later event.
+    /// `vcpu` now runs on `pcpu`; its slice nominally lasts [`SLICE`]
+    /// but may be cut short by a later event.
     Run {
         /// The pCPU granted.
         pcpu: PcpuId,
@@ -309,7 +309,7 @@ impl Policy for Credit {
             // Historical Xen: whoever is caught on the pCPU at the
             // tick pays for the whole tick, whether it ran 10 ms or
             // 10 µs of it. A tenant absent at every sample runs free.
-            x.credits_ns -= pool.config.tick.as_ns() as i64;
+            x.credits_ns -= TICK.as_ns() as i64;
             if x.credits_ns < 0 && x.prio == Prio::Under {
                 x.prio = Prio::Over;
             }
@@ -370,7 +370,7 @@ impl Policy for Credit {
         let p = &pool.pcpus[pcpu.index()];
         let best = p.best_waiting_prio();
         let ran = now.since(p.run_since);
-        if best >= pool.hot[cur].extra.prio as usize || ran < pool.config.ratelimit {
+        if best >= pool.hot[cur].extra.prio as usize || ran < RATELIMIT {
             return false;
         }
         // Kick-throttle defense: BOOST arrivals evict only an occupant
@@ -378,7 +378,7 @@ impl Policy for Credit {
         // wake-storm preemption farming. The waker's domain is charged.
         if pool.config.kick_throttle
             && best == Prio::Boost as usize
-            && ran < pool.config.ratelimit * KICK_THROTTLE_FACTOR
+            && ran < RATELIMIT * KICK_THROTTLE_FACTOR
         {
             pool.domains[waker.dom.index()].kicks_throttled += 1;
             return false;
@@ -413,9 +413,8 @@ impl Policy for Credit {
     /// and block already serves them, so a refill would only repeat their
     /// `Idle` events.
     fn acct(pool: &mut Pool<Self>, now: SimTime, events: &mut Vec<SchedEvent>) {
-        let period = pool.config.tick * u64::from(pool.config.ticks_per_acct);
-        let total_ns = (period * pool.pcpus.len() as u64).as_ns() as i64;
-        let cap_ns = period.as_ns() as i64; // At most one full period banked.
+        let total_ns = (ACCT_PERIOD * pool.pcpus.len() as u64).as_ns() as i64;
+        let cap_ns = ACCT_PERIOD.as_ns() as i64; // At most one full period banked.
         let floor_ns = -cap_ns; // At most one full period over-drawn.
 
         // A domain is active if it consumed anything this window or has
@@ -459,7 +458,7 @@ impl Policy for Credit {
         // revalidates whether the guest has work for an unparked vCPU.
         let over = |d: &Domain<SimDuration>| {
             d.cap_pcpus.is_some_and(|cap| {
-                d.consumed_acct > SimDuration::from_ns((period.as_ns() as f64 * cap) as u64)
+                d.consumed_acct > SimDuration::from_ns((ACCT_PERIOD.as_ns() as f64 * cap) as u64)
             })
         };
         for park in [true, false] {
@@ -501,7 +500,7 @@ impl Policy for Credit {
                 match p.current {
                     None => pool.reschedule(target, now, events),
                     Some(cur) if pool.hot[cur].extra.prio > Prio::Boost => {
-                        if pool.config.kick_throttle && ran < pool.config.ratelimit {
+                        if pool.config.kick_throttle && ran < RATELIMIT {
                             // Stays queued at BOOST; it gets the pCPU at
                             // the next natural scheduling point instead
                             // of evicting a freshly placed occupant.

@@ -31,7 +31,7 @@ use sim_core::soa::VcpuMap;
 use sim_core::time::{SimDuration, SimTime};
 
 use crate::api::{DomSchedExport, HypervisorSched, VcpuSchedExport};
-use crate::credit::{CreditConfig, SchedEvent, VcpuState};
+use crate::credit::{CreditConfig, SchedEvent, VcpuState, RATELIMIT};
 use crate::extend::{ExtendInfo, ExtendWindow};
 
 /// A policy's share of a pool backend: its per-pCPU, per-domain and
@@ -126,7 +126,7 @@ pub trait Policy: Snap + Default + Sized {
             let p = &pool.pcpus[pcpu.index()];
             if pool.config.kick_throttle
                 && p.current.is_some()
-                && now.since(p.run_since) < pool.config.ratelimit
+                && now.since(p.run_since) < RATELIMIT
             {
                 pool.domains[gv.dom.index()].kicks_throttled += 1;
                 return;

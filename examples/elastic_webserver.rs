@@ -19,7 +19,7 @@ fn run(cfg: SystemConfig, rate: f64) -> apache::HttperfSummary {
         ..MachineConfig::default()
     });
     let mut spec = cfg.domain_spec(vm_vcpus).with_weight(128 * vm_vcpus as u32);
-    spec.guest.costs.softirq_net = SimDuration::from_us(25);
+    spec.guest.softirq_net = SimDuration::from_us(25);
     let vm = m.add_domain(spec);
     // Busy neighbours: full-tilt slideshows.
     let slideshow = SlideshowConfig {

@@ -30,7 +30,7 @@ bench_json() {
 
 # pinned_gate BENCH SEEDS SUMFILE CHECKS THREAD_DIFF runs BENCH at 4
 # threads and holds its output to SUMFILE, the committed sha256 ("-" for
-# none; regenerate deliberately with the matching scripts/bench_*.sh),
+# none; regenerate deliberately with scripts/bench_pinned.sh BENCH),
 # and to CHECKS, space-separated regexes that must each match a line
 # ("!regex": must match none). THREAD_DIFF=diff reruns at 1 thread and
 # requires identical bytes: every sweep rides the event queue.

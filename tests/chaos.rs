@@ -20,7 +20,7 @@ use vscale_repro::core::machine::Machine;
 use vscale_repro::guest::thread::{OneShot, Script, ThreadAction, ThreadKind};
 use vscale_repro::guest::KernelVersion;
 use vscale_repro::hv::{Credit2Scheduler, CreditScheduler, DynFracScheduler, HypervisorSched};
-use vscale_repro::sim::fault::{FaultConfig, SimErrorKind, WatchdogConfig, PPM};
+use vscale_repro::sim::fault::{FaultConfig, SimErrorKind, PPM};
 use vscale_repro::sim::time::{SimDuration, SimTime};
 use vscale_repro::{DomId, VcpuId};
 
@@ -604,10 +604,7 @@ fn watchdog_reports_a_stuck_simulation_with_layer_attribution() {
         seed: 15,
         ..MachineConfig::default()
     });
-    m.set_watchdog(WatchdogConfig {
-        stall_timeout: SimDuration::from_ms(100),
-        ..WatchdogConfig::default()
-    });
+    m.set_stall_timeout(SimDuration::from_ms(100));
     let d = m.add_domain(DomainSpec::fixed(1));
     let q = m.guest_mut(d).new_io_queue();
     // A thread waiting on I/O that never arrives: virtual time keeps
@@ -726,7 +723,6 @@ fn adversarial_machine(
             ..CreditConfig::default()
         },
         defense,
-        ..MachineConfig::default()
     });
     let vm = m.add_domain(SystemConfig::VScale.domain_spec(2).with_weight(256));
     let att = antagonist::install_antagonist(&mut m, AntagonistSpec::new(kind, mode));
@@ -793,10 +789,7 @@ fn attacks_compose_with_fault_plans_without_panics() {
             DefenseConfig::default(),
             43,
         );
-        m.set_watchdog(WatchdogConfig {
-            stall_timeout: SimDuration::from_ms(500),
-            ..WatchdogConfig::default()
-        });
+        m.set_stall_timeout(SimDuration::from_ms(500));
         m.set_fault_plan(FaultConfig {
             seed: 44,
             ipi_drop_ppm: 200_000,
@@ -873,10 +866,7 @@ fn any_generated_fault_plan_terminates_cleanly() {
         &testkit::arb_fault_config(),
         |cfg| {
             let (mut m, vm, _bg) = contended_machine(0x5EED ^ cfg.seed);
-            m.set_watchdog(WatchdogConfig {
-                stall_timeout: SimDuration::from_ms(500),
-                ..WatchdogConfig::default()
-            });
+            m.set_stall_timeout(SimDuration::from_ms(500));
             m.set_fault_plan(*cfg);
             match m.try_run_until_exited(vm, SimTime::from_secs(30)) {
                 Ok(Some(_)) => {

@@ -239,7 +239,6 @@ fn jittered_attack_run(seed: u64) -> (String, String, u64) {
             tick_jitter: true,
             ..DefenseConfig::default()
         },
-        ..MachineConfig::default()
     });
     m.enable_trace(1 << 15);
     let vm = m.add_domain(SystemConfig::VScale.domain_spec(2).with_weight(256));

@@ -27,7 +27,7 @@ fn build<S: HypervisorSched>(seed: u64) -> Machine<S> {
         ..MachineConfig::default()
     });
     let mut spec = SystemConfig::VScale.domain_spec(4);
-    spec.guest.costs.softirq_net = SimDuration::from_us(25);
+    spec.guest.softirq_net = SimDuration::from_us(25);
     let dom = m.add_domain(spec);
     let srv = apache::install(&mut m, dom, ApacheConfig::default());
     desktop::add_desktop_vm(&mut m, SlideshowConfig::default());
