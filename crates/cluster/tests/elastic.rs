@@ -86,6 +86,9 @@ fn second_constant_stream_is_rejected() {
 fn slo_sampler_drains_windows_on_the_wheel() {
     let mut c = fleet(2, 0, 1);
     let end = SimTime::from_ms(200);
+    // The measurement window spans every send, so the hosts' measured
+    // totals and the SLO windows must account for the same requests.
+    c.set_window(SimTime::ZERO, end);
     c.open_loop(4_000.0, SimTime::ZERO, end);
     c.install_slo_sampler(SimDuration::from_ms(20));
     c.run_until(end).expect("runs");
@@ -102,12 +105,33 @@ fn slo_sampler_drains_windows_on_the_wheel() {
         prev = *t;
         completed += w.completed;
     }
-    // Windows see completions online (no measurement window was set).
+    // Windows see completions online, before the run ends.
     assert!(completed > 500, "windows carry completions: {completed}");
     assert!(
         samples.iter().skip(2).any(|(_, w)| w.p99_us() > 400),
         "a loaded window's p99 includes the network legs"
     );
+
+    // Conservation: drain every request, then the popped windows, the
+    // ones the drain produced and the partial tail window together hold
+    // every completion and drop exactly once.
+    drain_and_check(&mut c, end);
+    while let Some(s) = c.pop_slo_sample() {
+        samples.push(s);
+    }
+    samples.push((c.now(), c.take_slo_window()));
+    for (t, w) in &samples {
+        assert_eq!(
+            w.latency_us.count(),
+            w.completed,
+            "window at {t:?}: one latency per completion"
+        );
+    }
+    let windows: u64 = samples.iter().map(|(_, w)| w.completed + w.drops).sum();
+    let hosts: u64 = c.host_samples().iter().map(|h| h.completed + h.drops).sum();
+    assert_eq!(windows, hosts, "windows account for every request once");
+    assert_eq!(hosts, c.sent());
+    assert_eq!(c.take_slo_window().completed, 0, "the tail was taken");
 }
 
 #[test]
