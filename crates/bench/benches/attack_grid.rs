@@ -29,9 +29,7 @@ use vscale_bench::experiment::seeds_from_env;
 use workloads::antagonist::{self, AntagonistMode, AntagonistSpec, AttackKind};
 use workloads::npb::{self, NpbApp};
 use workloads::spin::SpinPolicy;
-use xen_sched::{
-    Credit2Scheduler, CreditConfig, CreditScheduler, DynFracScheduler, HypervisorSched,
-};
+use xen_sched::{Credit, Credit2, CreditConfig, DynFrac, Policy};
 
 /// Acceptance floor: the undefended attack must inflate victim waiting
 /// by at least 10% on the credit backend.
@@ -63,16 +61,16 @@ fn victim_app() -> NpbApp {
     }
 }
 
-/// One victim-vs-antagonist run on backend `S`; `n_attackers` sized for
+/// One victim-vs-antagonist run on policy `P`; `n_attackers` sized for
 /// the SLO ladder (the grid always uses exactly one).
-fn run_one<S: HypervisorSched>(
+fn run_one<P: Policy>(
     kind: AttackKind,
     mode: AntagonistMode,
     defense: DefenseConfig,
     n_attackers: usize,
     seed: u64,
 ) -> Result<AttackSample, String> {
-    let mut m: Machine<S> = Machine::with_backend(MachineConfig {
+    let mut m: Machine<P> = Machine::with_backend(MachineConfig {
         n_pcpus: 2,
         seed,
         credit: CreditConfig {
@@ -116,13 +114,9 @@ fn run_on(
     seed: u64,
 ) -> Result<AttackSample, String> {
     match backend {
-        SchedBackend::Credit => run_one::<CreditScheduler>(kind, mode, defense, n_attackers, seed),
-        SchedBackend::Credit2 => {
-            run_one::<Credit2Scheduler>(kind, mode, defense, n_attackers, seed)
-        }
-        SchedBackend::DynFrac => {
-            run_one::<DynFracScheduler>(kind, mode, defense, n_attackers, seed)
-        }
+        SchedBackend::Credit => run_one::<Credit>(kind, mode, defense, n_attackers, seed),
+        SchedBackend::Credit2 => run_one::<Credit2>(kind, mode, defense, n_attackers, seed),
+        SchedBackend::DynFrac => run_one::<DynFrac>(kind, mode, defense, n_attackers, seed),
     }
 }
 

@@ -26,7 +26,6 @@ use vscale::machine::Machine;
 use xen_sched::channel::VscaleChannel;
 use xen_sched::credit::{CreditConfig, CreditScheduler};
 use xen_sched::extend::{compute_extendability, ExtendParams};
-use xen_sched::HypervisorSched;
 
 fn bench_extendability(r: &mut BenchRunner) {
     let domains: Vec<ExtendParams> = (0..16)

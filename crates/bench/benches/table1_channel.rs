@@ -16,7 +16,6 @@ use sim_core::ids::{GlobalVcpu, PcpuId, VcpuId};
 use sim_core::time::SimTime;
 use xen_sched::channel::VscaleChannel;
 use xen_sched::credit::{CreditConfig, CreditScheduler};
-use xen_sched::HypervisorSched;
 
 fn main() {
     let session = vscale_bench::session("table1_channel");

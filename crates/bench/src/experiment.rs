@@ -13,7 +13,7 @@ use workloads::desktop::{self, SlideshowConfig};
 use workloads::npb::{self, NpbApp};
 use workloads::parsec::{self, ParsecApp};
 use workloads::spin::SpinPolicy;
-use xen_sched::{Credit2Scheduler, CreditScheduler, DynFracScheduler, HypervisorSched};
+use xen_sched::{Credit, Credit2, DynFrac, Policy};
 
 /// Scales experiment length: benches default to [`ExperimentScale::Quick`]
 /// so `cargo bench` stays tractable; set `VSCALE_BENCH_SCALE=full` for
@@ -69,17 +69,17 @@ pub struct AppResult {
 /// weights ∝ vCPU count. The small pool makes desktop bursts binary
 /// events: when a desktop decodes, test-VM vCPUs *must* stack.
 pub fn build_host(cfg: SystemConfig, vm_vcpus: usize, seed: u64) -> (Machine, DomId, Vec<DomId>) {
-    build_host_on::<CreditScheduler>(cfg, vm_vcpus, seed)
+    build_host_on::<Credit>(cfg, vm_vcpus, seed)
 }
 
 /// [`build_host`] on an explicit scheduler backend.
-pub fn build_host_on<S: HypervisorSched>(
+pub fn build_host_on<P: Policy>(
     cfg: SystemConfig,
     vm_vcpus: usize,
     seed: u64,
-) -> (Machine<S>, DomId, Vec<DomId>) {
+) -> (Machine<P>, DomId, Vec<DomId>) {
     let spec = cfg.domain_spec(vm_vcpus).with_weight(128 * vm_vcpus as u32);
-    build_host_with_on::<S>(spec, seed, SlideshowConfig::default())
+    build_host_with_on::<P>(spec, seed, SlideshowConfig::default())
 }
 
 /// [`build_host`] with explicit domain spec and background-desktop
@@ -89,18 +89,18 @@ pub fn build_host_with(
     seed: u64,
     slideshow: SlideshowConfig,
 ) -> (Machine, DomId, Vec<DomId>) {
-    build_host_with_on::<CreditScheduler>(spec, seed, slideshow)
+    build_host_with_on::<Credit>(spec, seed, slideshow)
 }
 
 /// [`build_host_with`] on an explicit scheduler backend.
-pub fn build_host_with_on<S: HypervisorSched>(
+pub fn build_host_with_on<P: Policy>(
     spec: DomainSpec,
     seed: u64,
     slideshow: SlideshowConfig,
-) -> (Machine<S>, DomId, Vec<DomId>) {
+) -> (Machine<P>, DomId, Vec<DomId>) {
     let vm_vcpus = spec.guest.n_vcpus;
     let n_pcpus = vm_vcpus;
-    let mut m: Machine<S> = Machine::with_backend(MachineConfig {
+    let mut m: Machine<P> = Machine::with_backend(MachineConfig {
         n_pcpus,
         seed,
         ..MachineConfig::default()
@@ -120,11 +120,11 @@ pub fn npb_experiment(
     scale: ExperimentScale,
     seed: u64,
 ) -> AppResult {
-    npb_experiment_on::<CreditScheduler>(cfg, app, vm_vcpus, policy, scale, seed)
+    npb_experiment_on::<Credit>(cfg, app, vm_vcpus, policy, scale, seed)
 }
 
 /// [`npb_experiment`] on an explicit scheduler backend.
-pub fn npb_experiment_on<S: HypervisorSched>(
+pub fn npb_experiment_on<P: Policy>(
     cfg: SystemConfig,
     app: NpbApp,
     vm_vcpus: usize,
@@ -136,7 +136,7 @@ pub fn npb_experiment_on<S: HypervisorSched>(
         iterations: scale.iters(app.iterations),
         ..app
     };
-    let (mut m, vm, _bg) = build_host_on::<S>(cfg, vm_vcpus, seed);
+    let (mut m, vm, _bg) = build_host_on::<P>(cfg, vm_vcpus, seed);
     let _run = npb::install(&mut m, vm, app, vm_vcpus, policy);
     let start = m.now();
     let deadline = SimTime::from_secs(120);
@@ -152,11 +152,11 @@ pub fn parsec_experiment(
     scale: ExperimentScale,
     seed: u64,
 ) -> AppResult {
-    parsec_experiment_on::<CreditScheduler>(cfg, app, vm_vcpus, scale, seed)
+    parsec_experiment_on::<Credit>(cfg, app, vm_vcpus, scale, seed)
 }
 
 /// [`parsec_experiment`] on an explicit scheduler backend.
-pub fn parsec_experiment_on<S: HypervisorSched>(
+pub fn parsec_experiment_on<P: Policy>(
     cfg: SystemConfig,
     app: ParsecApp,
     vm_vcpus: usize,
@@ -167,7 +167,7 @@ pub fn parsec_experiment_on<S: HypervisorSched>(
         rounds: scale.iters(app.rounds),
         ..app
     };
-    let (mut m, vm, _bg) = build_host_on::<S>(cfg, vm_vcpus, seed);
+    let (mut m, vm, _bg) = build_host_on::<P>(cfg, vm_vcpus, seed);
     let _run = parsec::install(&mut m, vm, app, vm_vcpus);
     let start = m.now();
     let deadline = SimTime::from_secs(120);
@@ -187,11 +187,11 @@ pub fn apache_experiment(
     scale: ExperimentScale,
     seed: u64,
 ) -> HttperfSummary {
-    apache_experiment_on::<CreditScheduler>(cfg, rate_per_sec, scale, seed)
+    apache_experiment_on::<Credit>(cfg, rate_per_sec, scale, seed)
 }
 
 /// [`apache_experiment`] on an explicit scheduler backend.
-pub fn apache_experiment_on<S: HypervisorSched>(
+pub fn apache_experiment_on<P: Policy>(
     cfg: SystemConfig,
     rate_per_sec: f64,
     scale: ExperimentScale,
@@ -208,7 +208,7 @@ pub fn apache_experiment_on<S: HypervisorSched>(
         burst_mean: SimDuration::from_ms(850),
         ..SlideshowConfig::default()
     };
-    let (mut m, vm, _bg) = build_host_with_on::<S>(spec, seed, slideshow);
+    let (mut m, vm, _bg) = build_host_with_on::<P>(spec, seed, slideshow);
     let srv = apache::install(&mut m, vm, ApacheConfig::default());
     let warmup = SimDuration::from_ms(200);
     let window = match scale {
@@ -221,12 +221,7 @@ pub fn apache_experiment_on<S: HypervisorSched>(
     apache::summarize(&m, vm, &srv, start, window)
 }
 
-fn collect<S: HypervisorSched>(
-    m: &Machine<S>,
-    vm: DomId,
-    start: SimTime,
-    end: SimTime,
-) -> AppResult {
+fn collect<P: Policy>(m: &Machine<P>, vm: DomId, start: SimTime, end: SimTime) -> AppResult {
     let st = m.domain_stats(vm);
     let dur = end.since(start).as_secs_f64().max(1e-9);
     let total_ipis: u64 = st.resched_ipis.iter().sum();
@@ -382,13 +377,13 @@ pub fn npb_experiment_backend(
 ) -> AppResult {
     match backend {
         SchedBackend::Credit => {
-            npb_experiment_on::<CreditScheduler>(cfg, app, vm_vcpus, policy, scale, seed)
+            npb_experiment_on::<Credit>(cfg, app, vm_vcpus, policy, scale, seed)
         }
         SchedBackend::Credit2 => {
-            npb_experiment_on::<Credit2Scheduler>(cfg, app, vm_vcpus, policy, scale, seed)
+            npb_experiment_on::<Credit2>(cfg, app, vm_vcpus, policy, scale, seed)
         }
         SchedBackend::DynFrac => {
-            npb_experiment_on::<DynFracScheduler>(cfg, app, vm_vcpus, policy, scale, seed)
+            npb_experiment_on::<DynFrac>(cfg, app, vm_vcpus, policy, scale, seed)
         }
     }
 }
@@ -403,15 +398,9 @@ pub fn parsec_experiment_backend(
     seed: u64,
 ) -> AppResult {
     match backend {
-        SchedBackend::Credit => {
-            parsec_experiment_on::<CreditScheduler>(cfg, app, vm_vcpus, scale, seed)
-        }
-        SchedBackend::Credit2 => {
-            parsec_experiment_on::<Credit2Scheduler>(cfg, app, vm_vcpus, scale, seed)
-        }
-        SchedBackend::DynFrac => {
-            parsec_experiment_on::<DynFracScheduler>(cfg, app, vm_vcpus, scale, seed)
-        }
+        SchedBackend::Credit => parsec_experiment_on::<Credit>(cfg, app, vm_vcpus, scale, seed),
+        SchedBackend::Credit2 => parsec_experiment_on::<Credit2>(cfg, app, vm_vcpus, scale, seed),
+        SchedBackend::DynFrac => parsec_experiment_on::<DynFrac>(cfg, app, vm_vcpus, scale, seed),
     }
 }
 
@@ -424,15 +413,9 @@ pub fn apache_experiment_backend(
     seed: u64,
 ) -> HttperfSummary {
     match backend {
-        SchedBackend::Credit => {
-            apache_experiment_on::<CreditScheduler>(cfg, rate_per_sec, scale, seed)
-        }
-        SchedBackend::Credit2 => {
-            apache_experiment_on::<Credit2Scheduler>(cfg, rate_per_sec, scale, seed)
-        }
-        SchedBackend::DynFrac => {
-            apache_experiment_on::<DynFracScheduler>(cfg, rate_per_sec, scale, seed)
-        }
+        SchedBackend::Credit => apache_experiment_on::<Credit>(cfg, rate_per_sec, scale, seed),
+        SchedBackend::Credit2 => apache_experiment_on::<Credit2>(cfg, rate_per_sec, scale, seed),
+        SchedBackend::DynFrac => apache_experiment_on::<DynFrac>(cfg, rate_per_sec, scale, seed),
     }
 }
 

@@ -235,7 +235,9 @@ pub struct Cluster {
     /// SLO sampling period, once installed.
     slo_period: Option<SimDuration>,
     /// The SLO sampler's window since the last drain, fleet-wide:
-    /// every completion's latency and every drop. Unlike the hosts'
+    /// every completion's latency and every drop. It fills only while a
+    /// sampler is installed ([`Cluster::install_slo_sampler`]); with
+    /// none, nothing takes it and it stays empty. Unlike the hosts'
     /// measurement-window fields it is not gated on
     /// [`Cluster::set_window`]; it is the online sensor the
     /// autoscaler's controller reads, warmup included. `in_flight` is
@@ -442,7 +444,8 @@ impl Cluster {
     /// in-flight depth now. Each queued sample takes one; called
     /// directly, it is the run-end flush that lets an elastic run's
     /// aggregate ledger account for completions after the last sample
-    /// instant.
+    /// instant. The window fills only while a sampler is installed, so
+    /// without one it holds no completions, drops or latencies.
     pub fn take_slo_window(&mut self) -> SloWindow {
         let mut w = std::mem::take(&mut self.slo_window);
         w.in_flight = self.in_flight();
@@ -724,6 +727,7 @@ impl Cluster {
     /// what. Drops then retire in backend order; a backend lives on one
     /// host, so its completions still precede its drops.
     fn harvest(&mut self) {
+        let sampling = self.slo_period.is_some();
         let mut buf = std::mem::take(&mut self.harvest_buf);
         buf.clear();
         for (bidx, b) in self.backends.iter().enumerate() {
@@ -751,12 +755,14 @@ impl Cluster {
             self.lb.retired(bidx);
             let host = &mut self.hosts[host_idx];
             let reply_at = host.link.send_reply(c, b.spec.reply_bytes);
-            // The SLO window sees every completion: it is the
-            // controller's online sensor, not gated on the offline
-            // measurement window.
+            // While a sampler runs, the SLO window sees every
+            // completion: it is the controller's online sensor, not
+            // gated on the offline measurement window.
             let latency_us = reply_at.since(send).as_us();
-            self.slo_window.latency_us.record(latency_us);
-            self.slo_window.completed += 1;
+            if sampling {
+                self.slo_window.latency_us.record(latency_us);
+                self.slo_window.completed += 1;
+            }
             if send >= self.window.0 && send < self.window.1 {
                 host.latency_us.record(latency_us);
                 host.completed += 1;
@@ -778,7 +784,9 @@ impl Cluster {
                 }
                 let send = b.pending.pop_front().expect("drop without a request");
                 self.lb.retired(bidx);
-                self.slo_window.drops += 1;
+                if sampling {
+                    self.slo_window.drops += 1;
+                }
                 if send >= self.window.0 && send < self.window.1 {
                     host.drops += 1;
                 }

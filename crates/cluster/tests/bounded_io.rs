@@ -126,4 +126,8 @@ fn harvest_takes_every_reply_and_checkpoints_stay_flat() {
         "{completed} completed + {drops} dropped != {} sent",
         c.sent()
     );
+
+    // No SLO sampler is installed, so the SLO window recorded nothing.
+    let w = c.take_slo_window();
+    assert_eq!((w.completed, w.drops, w.latency_us.count()), (0, 0, 0));
 }

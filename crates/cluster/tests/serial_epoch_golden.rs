@@ -13,13 +13,7 @@
 
 use cluster::{build_web_fleet, Cluster, ClusterConfig, LbPolicy, MigrationConfig, WebFleetConfig};
 use sim_core::time::{SimDuration, SimTime};
-
-/// FNV-1a: a stable 64-bit fingerprint to pin goldens.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
+use testkit::fnv1a;
 
 fn fleet(hosts: usize, serving: usize, spares_per_host: usize, lb: LbPolicy) -> Cluster {
     build_web_fleet(

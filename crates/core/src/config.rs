@@ -2,7 +2,7 @@
 
 use guest_kernel::GuestConfig;
 use sim_core::time::SimDuration;
-use xen_sched::CreditConfig;
+use xen_sched::{Credit, Credit2, CreditConfig, DynFrac, Policy};
 
 use crate::daemon::DaemonConfig;
 
@@ -136,7 +136,7 @@ impl DomainSpec {
 }
 
 /// The scheduler-policy axis of the figure grids: which
-/// `HypervisorSched` backend the hypervisor runs. The paper evaluates
+/// [`Policy`] the hypervisor's pool runs. The paper evaluates
 /// against Xen's credit scheduler only; the other two backends probe how
 /// much of vScale's benefit is policy-independent. This is a runtime tag
 /// — `Machine` is generic over the backend at compile time, so consumers
@@ -159,12 +159,12 @@ impl SchedBackend {
         SchedBackend::DynFrac,
     ];
 
-    /// Stable short name, matching `HypervisorSched::backend_name`.
+    /// Stable short name: the policy's [`Policy::NAME`].
     pub fn label(self) -> &'static str {
         match self {
-            SchedBackend::Credit => "credit",
-            SchedBackend::Credit2 => "credit2",
-            SchedBackend::DynFrac => "dynfrac",
+            SchedBackend::Credit => Credit::NAME,
+            SchedBackend::Credit2 => Credit2::NAME,
+            SchedBackend::DynFrac => DynFrac::NAME,
         }
     }
 }

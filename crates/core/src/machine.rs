@@ -38,10 +38,10 @@ use sim_core::rng::SimRng;
 use sim_core::snap::{self, Snap, SnapReader, SnapWriter};
 use sim_core::time::{SimDuration, SimTime};
 use sim_core::trace::{TraceEvent, TraceRing};
-use xen_sched::api::{DomSchedExport, HypervisorSched};
 use xen_sched::channel::{DoorbellLink, VscaleChannel, RETRANSMIT_RTO};
-use xen_sched::credit::{CreditScheduler, SchedEvent, ACCT_PERIOD, EXTEND_PERIOD, SLICE, TICK};
+use xen_sched::credit::{Credit, SchedEvent, ACCT_PERIOD, EXTEND_PERIOD, SLICE, TICK};
 use xen_sched::evtchn::{EvtchnTable, PortId, PortKind};
+use xen_sched::{DomSchedExport, Policy, Pool};
 
 use crate::config::{DomainSpec, MachineConfig, ScalingMode};
 use crate::daemon::{
@@ -334,12 +334,12 @@ struct GuestDomain {
     weight: u32,
 }
 
-/// The composed host, generic over the scheduler policy `S` (the
-/// [`HypervisorSched`] backend; defaults to the paper's credit
-/// scheduler, so `Machine::new` keeps its historical meaning).
-pub struct Machine<S: HypervisorSched = CreditScheduler> {
+/// The composed host, generic over the scheduler [`Policy`] `P` of its
+/// [`Pool`]; defaults to the paper's credit scheduler, so `Machine::new`
+/// keeps its historical meaning.
+pub struct Machine<P: Policy = Credit> {
     config: MachineConfig,
-    hv: S,
+    hv: Pool<P>,
     guests: Vec<GuestDomain>,
     queue: EventQueue<Ev>,
     /// Root RNG (workloads fork children from it).
@@ -357,7 +357,7 @@ pub struct Machine<S: HypervisorSched = CreditScheduler> {
     // whenever it sits in the struct. Rare re-entrant paths (the hotplug
     // daemon routing mid-drain) see an already-taken buffer and fall back
     // to a fresh empty one — correct, just not allocation-free.
-    /// Sink for sink-style [`HypervisorSched`] calls.
+    /// Sink for sink-style [`Pool`] calls.
     sched_buf: Vec<SchedEvent>,
     /// The routing work queue of [`Machine::drain`].
     ops_buf: VecDeque<Op>,
@@ -426,11 +426,11 @@ impl Machine {
     }
 }
 
-impl<S: HypervisorSched> Machine<S> {
-    /// Creates a machine running the scheduler backend `S`; like
+impl<P: Policy> Machine<P> {
+    /// Creates a machine running the scheduler policy `P`; like
     /// [`Machine::new`] but policy-generic:
-    /// `Machine::<Credit2Scheduler>::with_backend(cfg)`.
-    pub fn with_backend(config: MachineConfig) -> Machine<S> {
+    /// `Machine::<Credit2>::with_backend(cfg)`.
+    pub fn with_backend(config: MachineConfig) -> Machine<P> {
         // Map machine-level defenses onto the scheduler's config block.
         let mut credit = config.credit.clone();
         if config.defense.exact_burn {
@@ -439,7 +439,7 @@ impl<S: HypervisorSched> Machine<S> {
         if config.defense.kick_throttle {
             credit.kick_throttle = true;
         }
-        let hv = S::new_pool(credit, config.n_pcpus);
+        let hv = Pool::new(credit, config.n_pcpus);
         // Two keyed timers per pCPU: its plan (key `p`) and its slice end
         // (key `n_pcpus + p`).
         let mut queue = EventQueue::with_timers(2 * config.n_pcpus);
@@ -553,7 +553,7 @@ impl<S: HypervisorSched> Machine<S> {
     }
 
     /// The hypervisor (read access for metrics).
-    pub fn hv(&self) -> &S {
+    pub fn hv(&self) -> &Pool<P> {
         &self.hv
     }
 
@@ -1204,7 +1204,7 @@ impl<S: HypervisorSched> Machine<S> {
     fn hv_into_ops(
         &mut self,
         ops: &mut VecDeque<Op>,
-        f: impl FnOnce(&mut S, &mut Vec<SchedEvent>),
+        f: impl FnOnce(&mut Pool<P>, &mut Vec<SchedEvent>),
     ) {
         let mut buf = std::mem::take(&mut self.sched_buf);
         f(&mut self.hv, &mut buf);
@@ -1214,7 +1214,7 @@ impl<S: HypervisorSched> Machine<S> {
 
     /// Runs one sink-style scheduler call and drains the resulting cascade
     /// of guest reactions.
-    fn hv_and_drain(&mut self, now: SimTime, f: impl FnOnce(&mut S, &mut Vec<SchedEvent>)) {
+    fn hv_and_drain(&mut self, now: SimTime, f: impl FnOnce(&mut Pool<P>, &mut Vec<SchedEvent>)) {
         let mut ops = std::mem::take(&mut self.ops_buf);
         self.hv_into_ops(&mut ops, f);
         if ops.is_empty() {
@@ -2024,7 +2024,7 @@ impl GuestDomain {
     }
 }
 
-impl<S: HypervisorSched> Machine<S> {
+impl<P: Policy> Machine<P> {
     /// Asserts the machine sits at an event boundary: every scratch
     /// buffer parked empty and no un-surfaced structured error. This is
     /// the only state in which images are well-defined — snapshots are

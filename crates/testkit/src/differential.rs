@@ -1,10 +1,10 @@
-//! Cross-backend differential testing for [`HypervisorSched`] policies.
+//! Cross-policy differential testing for the scheduler [`Pool`].
 //!
 //! The vScale machine drives its scheduler through a narrow event-driven
-//! contract (see `xen_sched::api`). This module checks that contract two
+//! contract (see `xen_sched::pool`). This module checks that contract two
 //! ways:
 //!
-//! 1. **Per-backend invariants** — [`replay`] drives one backend through a
+//! 1. **Per-backend invariants** — [`replay`] drives one policy through a
 //!    seeded [`Scenario`] (a Gen-produced op stream of ticks, wakes,
 //!    sleeps, yields, kicks and freezes) and checks structural sanity
 //!    after *every* op: one vCPU per pCPU, states agreeing with
@@ -27,12 +27,14 @@
 //! # The freeze convention
 //!
 //! The paper's Algorithm 2 splits freezing a vCPU into a hypervisor-side
-//! accounting change ([`HypervisorSched::set_frozen`]) and a guest-side
+//! accounting change ([`Pool::set_frozen`]) and a guest-side
 //! block. The harness applies both halves atomically — [`Op::Freeze`] is
 //! `set_frozen(true)` + `vcpu_block`, [`Op::Unfreeze`] is
 //! `set_frozen(false)` + `vcpu_wake` — and never wakes or kicks a frozen
 //! vCPU. Under that discipline "no frozen vCPU ever runs" is a checkable
-//! invariant rather than merely an eventual property.
+//! invariant rather than merely an eventual property. [`apply`] is the one
+//! interpreter of that convention: [`replay`] and the layout goldens in
+//! `tests/layout_equivalence.rs` both drive their pools through it.
 //!
 //! On divergence, [`minimize_pair`] reduces the op stream to a minimal
 //! reproducer with the choice-stream shrinker ([`crate::runner`]).
@@ -50,7 +52,7 @@
 use sim_core::ids::{DomId, GlobalVcpu, PcpuId, VcpuId};
 use sim_core::time::{SimDuration, SimTime};
 use xen_sched::credit::{CreditConfig, SchedEvent, VcpuState};
-use xen_sched::{DomSchedExport, HypervisorSched};
+use xen_sched::{Policy, Pool};
 
 use crate::gen::{one_of, tuple2, u8_in, usize_in, vec_of, Gen};
 use crate::runner::{find_minimal, Config, Counterexample};
@@ -114,7 +116,7 @@ pub struct Scenario {
 
 /// Simulated time between consecutive ops. Fixed so that replays of the
 /// same scenario on different backends share one time base.
-const OP_STEP: SimDuration = SimDuration::from_us(500);
+pub const OP_STEP: SimDuration = SimDuration::from_us(500);
 
 /// Generator for [`Scenario`]s: small topologies, op streams up to
 /// `max_ops` long, tick-heavy so vCPUs actually accumulate run time.
@@ -204,7 +206,7 @@ pub struct Replay {
 
 /// Flat list of the scenario's vCPUs, in (dom, vcpu) order. Selector
 /// bytes index this list modulo its length.
-fn vcpu_table(domains: &[(u32, usize)]) -> Vec<GlobalVcpu> {
+pub fn vcpu_table(domains: &[(u32, usize)]) -> Vec<GlobalVcpu> {
     let mut t = Vec::new();
     for (d, &(_, nv)) in domains.iter().enumerate() {
         for v in 0..nv {
@@ -220,7 +222,7 @@ fn vcpu_table(domains: &[(u32, usize)]) -> Vec<GlobalVcpu> {
 ///   reports;
 /// - no frozen vCPU is running (valid under the harness's atomic
 ///   freeze+block convention; a real guest may lag the block).
-fn check_structure<S: HypervisorSched>(s: &S, vcpus: &[GlobalVcpu]) -> Result<(), String> {
+fn check_structure<P: Policy>(s: &Pool<P>, vcpus: &[GlobalVcpu]) -> Result<(), String> {
     let mut seen = Vec::new();
     for p in 0..s.n_pcpus() {
         if let Some(gv) = s.running_on(PcpuId(p)) {
@@ -247,15 +249,15 @@ fn check_structure<S: HypervisorSched>(s: &S, vcpus: &[GlobalVcpu]) -> Result<()
     Ok(())
 }
 
-/// The event contract (`xen_sched::api`): replayed over `shadow`, the
+/// The event contract (`xen_sched::pool`): replayed over `shadow`, the
 /// vCPU each pCPU ran after the previous op, a `Desched` must name the
 /// pCPU's vCPU and a `Run` must land on an empty pCPU, and the result
 /// must be what `running_on` reports. The machine arms a pCPU's slice
 /// timer on `Run` and disarms it on `Desched`, so a missing or
 /// misdirected event would strand a slice end on an idle pCPU or leave
 /// a busy one without any.
-fn check_events<S: HypervisorSched>(
-    s: &S,
+fn check_events<P: Policy>(
+    s: &Pool<P>,
     events: &[SchedEvent],
     shadow: &mut [Option<GlobalVcpu>],
 ) -> Result<(), String> {
@@ -293,7 +295,7 @@ fn check_events<S: HypervisorSched>(
 /// runnable. All three shipped backends place wakes on idle pCPUs and
 /// steal on reschedule, so this holds after every op, not just at
 /// accounting boundaries.
-fn check_work_conserving<S: HypervisorSched>(s: &S, vcpus: &[GlobalVcpu]) -> Result<(), String> {
+fn check_work_conserving<P: Policy>(s: &Pool<P>, vcpus: &[GlobalVcpu]) -> Result<(), String> {
     let idle: Vec<usize> = (0..s.n_pcpus())
         .filter(|&p| s.running_on(PcpuId(p)).is_none())
         .collect();
@@ -308,14 +310,99 @@ fn check_work_conserving<S: HypervisorSched>(s: &S, vcpus: &[GlobalVcpu]) -> Res
     Ok(())
 }
 
-/// Drives `S` through `scenario`, checking per-backend invariants after
-/// every op, and returns the conserved quantities. The op stream is
-/// normalized exactly as documented on [`Op`] (selectors resolved modulo
-/// topology; wakes/kicks of frozen vCPUs skipped), so two backends
-/// replaying the same scenario see byte-identical call sequences.
-pub fn replay<S: HypervisorSched>(scenario: &Scenario) -> Result<Replay, String> {
+/// Applies `op` to `s` at `now`, appending the resulting events, with the
+/// normalization documented on [`Op`]: selectors resolve modulo the
+/// topology (`vcpus`, from [`vcpu_table`], and the pool's pCPUs), and
+/// wakes and kicks of frozen vCPUs are skipped. Every replay of an op
+/// stream goes through here, so two pools replaying the same scenario see
+/// byte-identical call sequences.
+pub fn apply<P: Policy>(
+    s: &mut Pool<P>,
+    vcpus: &[GlobalVcpu],
+    op: Op,
+    now: SimTime,
+    events: &mut Vec<SchedEvent>,
+) {
+    let gv = |sel: u8| vcpus[sel as usize % vcpus.len()];
+    let n_pcpus = s.n_pcpus();
+    let pc = |sel: u8| PcpuId(sel as usize % n_pcpus);
+    match op {
+        Op::Tick(p) => s.on_tick(pc(p), now, events),
+        Op::Acct => s.on_acct(now, events),
+        Op::Slice(p) => s.slice_expired(pc(p), now, events),
+        Op::ExtendTick => s.on_extend_tick(now),
+        Op::Wake(v) => {
+            if !s.is_frozen(gv(v)) {
+                s.vcpu_wake(gv(v), now, events);
+            }
+        }
+        Op::Block(v) => s.vcpu_block(gv(v), now, events),
+        Op::Yield(v) => s.vcpu_yield(gv(v), now, events),
+        Op::Kick(v) => {
+            if !s.is_frozen(gv(v)) {
+                s.kick_vcpu(gv(v), now, events);
+            }
+        }
+        Op::Freeze(v) => {
+            s.set_frozen(gv(v), true);
+            s.vcpu_block(gv(v), now, events);
+        }
+        Op::Unfreeze(v) => {
+            s.set_frozen(gv(v), false);
+            s.vcpu_wake(gv(v), now, events);
+        }
+        Op::SelfWake(v) => {
+            if !s.is_frozen(gv(v)) {
+                s.vcpu_block(gv(v), now, events);
+                s.vcpu_wake(gv(v), now, events);
+            }
+        }
+        Op::TickDodge(v) => {
+            if !s.is_frozen(gv(v)) {
+                let dodged = s.where_running(gv(v));
+                s.vcpu_block(gv(v), now, events);
+                if let Some(p) = dodged {
+                    s.on_tick(p, now, events);
+                }
+                s.vcpu_wake(gv(v), now, events);
+            }
+        }
+        Op::StormKick(v) => {
+            let dom = gv(v).dom;
+            for &target in vcpus.iter().filter(|t| t.dom == dom) {
+                if !s.is_frozen(target) {
+                    s.kick_vcpu(target, now, events);
+                }
+            }
+        }
+        Op::FreezeThrash(v) => {
+            s.set_frozen(gv(v), true);
+            s.vcpu_block(gv(v), now, events);
+            s.set_frozen(gv(v), false);
+            s.vcpu_wake(gv(v), now, events);
+        }
+    }
+}
+
+/// The signature of [`apply`], for a replay through another interpreter.
+type Step<P> = fn(&mut Pool<P>, &[GlobalVcpu], Op, SimTime, &mut Vec<SchedEvent>);
+
+/// Drives policy `P` through `scenario` with [`apply`], checking
+/// per-backend invariants after every op, and returns the conserved
+/// quantities.
+pub fn replay<P: Policy>(scenario: &Scenario) -> Result<Replay, String> {
+    replay_with(scenario, P::NAME, apply::<P>)
+}
+
+/// [`replay`] through `step` in place of [`apply`], with errors labelled
+/// `name`.
+fn replay_with<P: Policy>(
+    scenario: &Scenario,
+    name: &str,
+    step: Step<P>,
+) -> Result<Replay, String> {
     let vcpus = vcpu_table(&scenario.domains);
-    let mut s = S::new_pool(CreditConfig::default(), scenario.n_pcpus);
+    let mut s = Pool::<P>::new(CreditConfig::default(), scenario.n_pcpus);
     for &(weight, nv) in &scenario.domains {
         // No caps or reservations: the cross-backend run-time equality
         // law only holds for uncapped (purely work-conserving) pools.
@@ -326,68 +413,10 @@ pub fn replay<S: HypervisorSched>(scenario: &Scenario) -> Result<Replay, String>
     let mut shadow = vec![None; scenario.n_pcpus];
     let mut prev_run = SimDuration::ZERO;
     let mut prev_wait = SimDuration::ZERO;
-    let name = S::backend_name();
     for (i, &op) in scenario.ops.iter().enumerate() {
         now += OP_STEP;
         events.clear();
-        let gv = |sel: u8| vcpus[sel as usize % vcpus.len()];
-        let pc = |sel: u8| PcpuId(sel as usize % scenario.n_pcpus);
-        match op {
-            Op::Tick(p) => s.on_tick(pc(p), now, &mut events),
-            Op::Acct => s.on_acct(now, &mut events),
-            Op::Slice(p) => s.slice_expired(pc(p), now, &mut events),
-            Op::ExtendTick => s.on_extend_tick(now),
-            Op::Wake(v) => {
-                if !s.is_frozen(gv(v)) {
-                    s.vcpu_wake(gv(v), now, &mut events);
-                }
-            }
-            Op::Block(v) => s.vcpu_block(gv(v), now, &mut events),
-            Op::Yield(v) => s.vcpu_yield(gv(v), now, &mut events),
-            Op::Kick(v) => {
-                if !s.is_frozen(gv(v)) {
-                    s.kick_vcpu(gv(v), now, &mut events);
-                }
-            }
-            Op::Freeze(v) => {
-                s.set_frozen(gv(v), true);
-                s.vcpu_block(gv(v), now, &mut events);
-            }
-            Op::Unfreeze(v) => {
-                s.set_frozen(gv(v), false);
-                s.vcpu_wake(gv(v), now, &mut events);
-            }
-            Op::SelfWake(v) => {
-                if !s.is_frozen(gv(v)) {
-                    s.vcpu_block(gv(v), now, &mut events);
-                    s.vcpu_wake(gv(v), now, &mut events);
-                }
-            }
-            Op::TickDodge(v) => {
-                if !s.is_frozen(gv(v)) {
-                    let dodged = s.where_running(gv(v));
-                    s.vcpu_block(gv(v), now, &mut events);
-                    if let Some(p) = dodged {
-                        s.on_tick(p, now, &mut events);
-                    }
-                    s.vcpu_wake(gv(v), now, &mut events);
-                }
-            }
-            Op::StormKick(v) => {
-                let dom = gv(v).dom;
-                for &target in vcpus.iter().filter(|t| t.dom == dom) {
-                    if !s.is_frozen(target) {
-                        s.kick_vcpu(target, now, &mut events);
-                    }
-                }
-            }
-            Op::FreezeThrash(v) => {
-                s.set_frozen(gv(v), true);
-                s.vcpu_block(gv(v), now, &mut events);
-                s.set_frozen(gv(v), false);
-                s.vcpu_wake(gv(v), now, &mut events);
-            }
-        }
+        step(&mut s, &vcpus, op, now, &mut events);
         let ctx = |e: String| format!("[{name}] op {i} ({op:?}): {e}");
         check_events(&s, &events, &mut shadow).map_err(ctx)?;
         check_structure(&s, &vcpus).map_err(ctx)?;
@@ -449,27 +478,27 @@ pub fn replay<S: HypervisorSched>(scenario: &Scenario) -> Result<Replay, String>
 /// Replays `scenario` on backends `A` and `B` and checks the shared
 /// conservation laws (see the module docs). `Err` carries a
 /// human-readable divergence report.
-pub fn check_pair<A: HypervisorSched, B: HypervisorSched>(
-    scenario: &Scenario,
-) -> Result<(), String> {
-    let a = replay::<A>(scenario)?;
-    let b = replay::<B>(scenario)?;
+pub fn check_pair<A: Policy, B: Policy>(scenario: &Scenario) -> Result<(), String> {
+    conserved(
+        (A::NAME, replay::<A>(scenario)?),
+        (B::NAME, replay::<B>(scenario)?),
+    )
+}
+
+/// The conservation laws two named replays of one scenario must agree on.
+fn conserved((a_name, a): (&str, Replay), (b_name, b): (&str, Replay)) -> Result<(), String> {
     if a.total_run_ns != b.total_run_ns {
         return Err(format!(
-            "run-time integral diverged: {}={} ns, {}={} ns (Δ {})",
-            A::backend_name(),
+            "run-time integral diverged: {a_name}={} ns, {b_name}={} ns (Δ {})",
             a.total_run_ns,
-            B::backend_name(),
             b.total_run_ns,
             a.total_run_ns.abs_diff(b.total_run_ns),
         ));
     }
     if a.total_wait_ns != b.total_wait_ns {
         return Err(format!(
-            "waiting-time integral diverged: {}={} ns, {}={} ns (Δ {})",
-            A::backend_name(),
+            "waiting-time integral diverged: {a_name}={} ns, {b_name}={} ns (Δ {})",
             a.total_wait_ns,
-            B::backend_name(),
             b.total_wait_ns,
             a.total_wait_ns.abs_diff(b.total_wait_ns),
         ));
@@ -480,7 +509,7 @@ pub fn check_pair<A: HypervisorSched, B: HypervisorSched>(
 /// Runs [`check_pair`] over `cfg.cases` generated scenarios and, on
 /// divergence, shrinks the scenario to a minimal reproducer instead of
 /// panicking. `None` means every case agreed.
-pub fn minimize_pair<A: HypervisorSched, B: HypervisorSched>(
+pub fn minimize_pair<A: Policy, B: Policy>(
     cfg: Config,
     max_ops: usize,
 ) -> Option<Counterexample<Scenario>> {
@@ -490,7 +519,7 @@ pub fn minimize_pair<A: HypervisorSched, B: HypervisorSched>(
 /// [`minimize_pair`] over attack-shaped streams
 /// ([`adversarial_scenario_gen`]): the conservation laws must survive
 /// tenants that compose their ops adversarially, not just benign mixes.
-pub fn minimize_pair_adversarial<A: HypervisorSched, B: HypervisorSched>(
+pub fn minimize_pair_adversarial<A: Policy, B: Policy>(
     cfg: Config,
     max_ops: usize,
 ) -> Option<Counterexample<Scenario>> {
@@ -499,141 +528,10 @@ pub fn minimize_pair_adversarial<A: HypervisorSched, B: HypervisorSched>(
     })
 }
 
-/// A deliberately broken backend: a
-/// [`CreditScheduler`](xen_sched::CreditScheduler) whose `vcpu_block`
-/// *ignores* blocks of frozen vCPUs — the classic vScale
-/// implementation bug where the hypervisor-side accounting half of
-/// Algorithm 2 lands but the guest-side block is lost, so a frozen vCPU
-/// keeps holding its pCPU.
-///
-/// This is a known-divergence fixture for the shrinker: any scenario that
-/// freezes a running vCPU trips the "frozen vCPU is running" structural
-/// check, and the minimal reproducer is two ops (wake it, freeze it).
-/// `tests/differential.rs` asserts the shrinker actually converges there.
-pub struct BrokenFreezeScheduler(xen_sched::CreditScheduler);
-
-sim_core::snap_struct!(BrokenFreezeScheduler(inner));
-
-impl HypervisorSched for BrokenFreezeScheduler {
-    fn new_pool(config: CreditConfig, n_pcpus: usize) -> Self {
-        BrokenFreezeScheduler(xen_sched::CreditScheduler::new_pool(config, n_pcpus))
-    }
-
-    fn backend_name() -> &'static str {
-        "broken-freeze"
-    }
-
-    fn vcpu_block(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        // THE BUG: a frozen vCPU's block is dropped on the floor.
-        if self.0.is_frozen(gv) {
-            return;
-        }
-        self.0.vcpu_block(gv, now, events)
-    }
-
-    fn n_pcpus(&self) -> usize {
-        self.0.n_pcpus()
-    }
-    fn n_domains(&self) -> usize {
-        self.0.n_domains()
-    }
-    fn create_domain(
-        &mut self,
-        weight: u32,
-        n_vcpus: usize,
-        cap_pcpus: Option<f64>,
-        reservation_pcpus: Option<f64>,
-    ) -> DomId {
-        self.0
-            .create_domain(weight, n_vcpus, cap_pcpus, reservation_pcpus)
-    }
-    fn n_vcpus(&self, dom: DomId) -> usize {
-        HypervisorSched::n_vcpus(&self.0, dom)
-    }
-    fn on_tick(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
-        self.0.on_tick(pcpu, now, events)
-    }
-    fn on_acct(&mut self, now: SimTime, events: &mut Vec<SchedEvent>) {
-        self.0.on_acct(now, events)
-    }
-    fn on_extend_tick(&mut self, now: SimTime) {
-        self.0.on_extend_tick(now)
-    }
-    fn slice_expired(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
-        self.0.slice_expired(pcpu, now, events)
-    }
-    fn vcpu_wake(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        self.0.vcpu_wake(gv, now, events)
-    }
-    fn vcpu_yield(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        self.0.vcpu_yield(gv, now, events)
-    }
-    fn kick_vcpu(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        self.0.kick_vcpu(gv, now, events)
-    }
-    fn set_frozen(&mut self, gv: GlobalVcpu, frozen: bool) {
-        self.0.set_frozen(gv, frozen)
-    }
-    fn is_frozen(&self, gv: GlobalVcpu) -> bool {
-        self.0.is_frozen(gv)
-    }
-    fn running_on(&self, pcpu: PcpuId) -> Option<GlobalVcpu> {
-        self.0.running_on(pcpu)
-    }
-    fn where_running(&self, gv: GlobalVcpu) -> Option<PcpuId> {
-        self.0.where_running(gv)
-    }
-    fn vcpu_state(&self, gv: GlobalVcpu) -> VcpuState {
-        self.0.vcpu_state(gv)
-    }
-    fn domain_wait_total(&self, dom: DomId) -> SimDuration {
-        self.0.domain_wait_total(dom)
-    }
-    fn domain_run_total(&self, dom: DomId) -> SimDuration {
-        self.0.domain_run_total(dom)
-    }
-    fn vcpu_wait_total(&self, gv: GlobalVcpu) -> SimDuration {
-        self.0.vcpu_wait_total(gv)
-    }
-    fn vcpu_run_total(&self, gv: GlobalVcpu) -> SimDuration {
-        self.0.vcpu_run_total(gv)
-    }
-    fn total_run_ns(&self) -> u64 {
-        self.0.total_run_ns()
-    }
-    fn migrations(&self) -> u64 {
-        HypervisorSched::migrations(&self.0)
-    }
-    fn switches(&self, pcpu: PcpuId) -> u64 {
-        self.0.switches(pcpu)
-    }
-    fn scheduled_count(&self, gv: GlobalVcpu) -> u64 {
-        self.0.scheduled_count(gv)
-    }
-    fn extendability(&self, dom: DomId) -> xen_sched::ExtendInfo {
-        self.0.extendability(dom)
-    }
-    fn extend_version(&self) -> u64 {
-        self.0.extend_version()
-    }
-    fn export_domain(&self, dom: DomId) -> DomSchedExport {
-        self.0.export_domain(dom)
-    }
-    fn import_domain(
-        &mut self,
-        dom: DomId,
-        export: &DomSchedExport,
-        now: SimTime,
-        events: &mut Vec<SchedEvent>,
-    ) {
-        self.0.import_domain(dom, export, now, events)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xen_sched::{Credit2Scheduler, CreditScheduler, DynFracScheduler};
+    use xen_sched::{Credit, Credit2, CreditScheduler, DynFrac};
 
     fn smoke(ops: &[Op]) -> Scenario {
         Scenario {
@@ -655,9 +553,9 @@ mod tests {
             Op::Tick(0),
             Op::Tick(1),
         ]);
-        let c = replay::<CreditScheduler>(&sc).unwrap();
-        let c2 = replay::<Credit2Scheduler>(&sc).unwrap();
-        let df = replay::<DynFracScheduler>(&sc).unwrap();
+        let c = replay::<Credit>(&sc).unwrap();
+        let c2 = replay::<Credit2>(&sc).unwrap();
+        let df = replay::<DynFrac>(&sc).unwrap();
         assert!(c.total_run_ns > 0);
         assert_eq!(c.total_run_ns, c2.total_run_ns);
         assert_eq!(c.total_run_ns, df.total_run_ns);
@@ -680,9 +578,9 @@ mod tests {
             Op::Tick(0),
             Op::Tick(1),
         ]);
-        replay::<CreditScheduler>(&sc).unwrap();
-        replay::<Credit2Scheduler>(&sc).unwrap();
-        replay::<DynFracScheduler>(&sc).unwrap();
+        replay::<Credit>(&sc).unwrap();
+        replay::<Credit2>(&sc).unwrap();
+        replay::<DynFrac>(&sc).unwrap();
     }
 
     #[test]
@@ -719,9 +617,9 @@ mod tests {
             Op::Tick(1),
             Op::Acct,
         ]);
-        let c = replay::<CreditScheduler>(&sc).unwrap();
-        let c2 = replay::<Credit2Scheduler>(&sc).unwrap();
-        let df = replay::<DynFracScheduler>(&sc).unwrap();
+        let c = replay::<Credit>(&sc).unwrap();
+        let c2 = replay::<Credit2>(&sc).unwrap();
+        let df = replay::<DynFrac>(&sc).unwrap();
         assert!(c.total_run_ns > 0);
         assert_eq!(c.total_run_ns, c2.total_run_ns);
         assert_eq!(c.total_run_ns, df.total_run_ns);
@@ -752,6 +650,33 @@ mod tests {
         assert!(shaped > 50, "only {shaped} attack-shaped ops in 50 streams");
     }
 
+    /// A deliberately broken interpreter: [`apply`] on the credit pool,
+    /// except that the guest block of a frozen vCPU is lost — the classic
+    /// vScale implementation bug where the hypervisor-side accounting half
+    /// of Algorithm 2 lands but the guest-side block does not, so a frozen
+    /// vCPU keeps holding its pCPU. It breaks the ops [`scenario_gen`]
+    /// draws; the attack composites pass through unbroken.
+    ///
+    /// This is a known-divergence fixture for the shrinker: any scenario
+    /// that freezes a running vCPU trips the "frozen vCPU is running"
+    /// structural check, and the minimal reproducer is two ops (wake it,
+    /// freeze it).
+    fn apply_broken_freeze(
+        s: &mut CreditScheduler,
+        vcpus: &[GlobalVcpu],
+        op: Op,
+        now: SimTime,
+        events: &mut Vec<SchedEvent>,
+    ) {
+        let gv = |sel: u8| vcpus[sel as usize % vcpus.len()];
+        match op {
+            // THE BUG: a frozen vCPU's block is dropped on the floor.
+            Op::Freeze(v) => s.set_frozen(gv(v), true),
+            Op::Block(v) if s.is_frozen(gv(v)) => {}
+            _ => apply(s, vcpus, op, now, events),
+        }
+    }
+
     #[test]
     fn broken_freeze_fixture_diverges_and_shrinks_small() {
         let cfg = Config {
@@ -759,9 +684,18 @@ mod tests {
             seed: 0xBAD_F00D,
             max_shrink_iters: 4096,
         };
+        // The credit pool against its broken twin, as `check_pair` does.
         let minimize = || {
-            minimize_pair::<CreditScheduler, BrokenFreezeScheduler>(cfg.clone(), 80)
-                .expect("the broken-freeze fixture must diverge")
+            find_minimal(cfg.clone(), &scenario_gen(80), |sc| {
+                conserved(
+                    (Credit::NAME, replay::<Credit>(sc)?),
+                    (
+                        "broken-freeze",
+                        replay_with(sc, "broken-freeze", apply_broken_freeze)?,
+                    ),
+                )
+            })
+            .expect("the broken-freeze fixture must diverge")
         };
         let found = minimize();
         assert!(
@@ -794,11 +728,11 @@ mod tests {
             max_shrink_iters: 512,
         };
         assert!(
-            minimize_pair::<CreditScheduler, Credit2Scheduler>(cfg.clone(), 60).is_none(),
+            minimize_pair::<Credit, Credit2>(cfg.clone(), 60).is_none(),
             "credit vs credit2 diverged"
         );
         assert!(
-            minimize_pair::<CreditScheduler, DynFracScheduler>(cfg, 60).is_none(),
+            minimize_pair::<Credit, DynFrac>(cfg, 60).is_none(),
             "credit vs dynfrac diverged"
         );
     }

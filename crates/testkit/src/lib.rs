@@ -13,6 +13,7 @@
 //! - [`mod@bench`] — a mini benchmark runner: warmup, batched timed
 //!   iterations, mean/p50/p99 via `sim-core::stats`, and table + JSON
 //!   output honoring `VSCALE_BENCH_SCALE`.
+//! - [`fnv`] — FNV-1a, the fingerprint the test goldens pin.
 //! - [`parallel`] — a `std::thread`-scoped work-list runner
 //!   ([`parallel::run_items_parallel`], honoring `VSCALE_THREADS`) that
 //!   merges results in item order (seed order, for a seed sweep) so sweep
@@ -32,15 +33,17 @@
 pub mod bench;
 pub mod differential;
 pub mod fault;
+pub mod fnv;
 pub mod gen;
 pub mod parallel;
 pub mod runner;
 pub mod source;
 
 pub use differential::{
-    check_pair, minimize_pair, replay, scenario_gen, BrokenFreezeScheduler, Op, Replay, Scenario,
+    apply, check_pair, minimize_pair, replay, scenario_gen, Op, Replay, Scenario,
 };
 pub use fault::{arb_duration, arb_fault_config, arb_rate};
+pub use fnv::{fnv1a, Fnv};
 pub use gen::{bool_any, just, one_of, tuple2, tuple3, tuple5, vec_of, Gen};
 pub use gen::{u32_in, u64_in, u8_in, usize_in};
 pub use runner::{find_minimal, run_prop, Config, Counterexample, PropResult};

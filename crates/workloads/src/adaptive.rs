@@ -20,7 +20,7 @@ use guest_kernel::ThreadId;
 use sim_core::rng::SimRng;
 use sim_core::time::SimDuration;
 use vscale::{DomId, Machine};
-use xen_sched::HypervisorSched;
+use xen_sched::Policy;
 
 /// Parameters of the adaptive data-parallel application.
 #[derive(Clone, Copy, Debug)]
@@ -111,8 +111,8 @@ pub struct AdaptiveRun {
 
 /// Installs the adaptive (or fixed) data-parallel app with `n_threads`
 /// workers and starts them.
-pub fn install<S: HypervisorSched>(
-    m: &mut Machine<S>,
+pub fn install<P: Policy>(
+    m: &mut Machine<P>,
     dom: DomId,
     cfg: AdaptiveConfig,
     n_threads: usize,

@@ -41,7 +41,7 @@ use sim_core::time::{SimDuration, SimTime};
 use vscale::config::{DefenseConfig, DomainSpec};
 use vscale::{DomId, Machine};
 use xen_sched::credit::TICK;
-use xen_sched::HypervisorSched;
+use xen_sched::Policy;
 
 /// The four attack classes (see the module docs for mechanics).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -418,7 +418,7 @@ sim_core::snap_struct!(Oscillator { resting } skip { period, mode });
 /// Adds one antagonist VM mounting `spec.kind` in `spec.mode` and
 /// returns its domain. The VM is a plain fixed-size SMP domain — the
 /// attacks need no special privileges, which is the point.
-pub fn install_antagonist<S: HypervisorSched>(m: &mut Machine<S>, spec: AntagonistSpec) -> DomId {
+pub fn install_antagonist<P: Policy>(m: &mut Machine<P>, spec: AntagonistSpec) -> DomId {
     let dom = m.add_domain(DomainSpec::fixed(spec.n_vcpus).with_weight(spec.weight));
     let guest = m.guest_mut(dom);
     let mut threads = Vec::new();

@@ -22,7 +22,7 @@ use sim_core::rng::SimRng;
 use sim_core::time::{SimDuration, SimTime};
 use vscale::{DomId, Machine};
 use xen_sched::evtchn::PortId;
-use xen_sched::HypervisorSched;
+use xen_sched::Policy;
 
 /// The served file plus HTTP headers, on the wire.
 pub const REPLY_BYTES: u64 = 16 * 1024 + 512;
@@ -129,11 +129,7 @@ pub struct ApacheServer {
 
 /// Installs Apache into `dom`: request queue, IRQ port bound to vCPU0,
 /// worker pool.
-pub fn install<S: HypervisorSched>(
-    m: &mut Machine<S>,
-    dom: DomId,
-    cfg: ApacheConfig,
-) -> ApacheServer {
+pub fn install<P: Policy>(m: &mut Machine<P>, dom: DomId, cfg: ApacheConfig) -> ApacheServer {
     let mut seed_rng = m.rng.fork(0x4150_4143);
     let guest = m.guest_mut(dom);
     let queue = guest.new_io_queue();
@@ -166,8 +162,8 @@ pub fn install<S: HypervisorSched>(
 /// Schedules an httperf-style constant-rate request stream: `rate`
 /// requests/s for `duration`, with exponential inter-arrival jitter.
 /// Returns the number of requests injected.
-pub fn run_client<S: HypervisorSched>(
-    m: &mut Machine<S>,
+pub fn run_client<P: Policy>(
+    m: &mut Machine<P>,
     dom: DomId,
     server: &ApacheServer,
     rate_per_sec: f64,
@@ -215,8 +211,8 @@ pub struct HttperfSummary {
 ///
 /// Requests flow FIFO through the accept queue and the worker pool, so
 /// arrival, delivery and completion logs are matched by index.
-pub fn summarize<S: HypervisorSched>(
-    m: &Machine<S>,
+pub fn summarize<P: Policy>(
+    m: &Machine<P>,
     dom: DomId,
     server: &ApacheServer,
     start: SimTime,

@@ -12,7 +12,7 @@ use sim_core::rng::SimRng;
 use sim_core::time::SimDuration;
 use vscale::config::DomainSpec;
 use vscale::{DomId, Machine};
-use xen_sched::HypervisorSched;
+use xen_sched::Policy;
 
 /// Slideshow parameters.
 #[derive(Clone, Copy, Debug)]
@@ -129,7 +129,7 @@ sim_core::snap_struct!(UiTimers { rng, computing } skip { cfg });
 
 /// Adds one 2-vCPU desktop VM running a slideshow (decode/render viewer
 /// plus the interactive UI-timer side) and returns its domain.
-pub fn add_desktop_vm<S: HypervisorSched>(m: &mut Machine<S>, cfg: SlideshowConfig) -> DomId {
+pub fn add_desktop_vm<P: Policy>(m: &mut Machine<P>, cfg: SlideshowConfig) -> DomId {
     let dom = m.add_domain(DomainSpec::fixed(2));
     let mut seed_rng = m.rng.fork(0x6465_736b ^ dom.index() as u64);
     let guest = m.guest_mut(dom);
@@ -163,11 +163,7 @@ pub fn add_desktop_vm<S: HypervisorSched>(m: &mut Machine<S>, cfg: SlideshowConf
 
 /// Adds `n` desktop VMs (the paper keeps ~2 vCPUs per pCPU by sizing this
 /// count to the host).
-pub fn add_desktops<S: HypervisorSched>(
-    m: &mut Machine<S>,
-    n: usize,
-    cfg: SlideshowConfig,
-) -> Vec<DomId> {
+pub fn add_desktops<P: Policy>(m: &mut Machine<P>, n: usize, cfg: SlideshowConfig) -> Vec<DomId> {
     (0..n).map(|_| add_desktop_vm(m, cfg)).collect()
 }
 

@@ -11,7 +11,7 @@ use guest_kernel::ThreadId;
 use sim_core::rng::SimRng;
 use sim_core::time::SimDuration;
 use vscale::{DomId, Machine};
-use xen_sched::HypervisorSched;
+use xen_sched::Policy;
 
 /// Kernel-build parameters.
 #[derive(Clone, Copy, Debug)]
@@ -119,7 +119,7 @@ pub struct KbuildRun {
 }
 
 /// Installs and starts a kernel build in `dom`.
-pub fn install<S: HypervisorSched>(m: &mut Machine<S>, dom: DomId, cfg: KbuildConfig) -> KbuildRun {
+pub fn install<P: Policy>(m: &mut Machine<P>, dom: DomId, cfg: KbuildConfig) -> KbuildRun {
     let mut seed_rng = m.rng.fork(0x6b62_6c64);
     let guest = m.guest_mut(dom);
     let jobserver = guest.sync.new_semaphore(cfg.jobserver_tokens);

@@ -27,7 +27,7 @@ use guest_kernel::ThreadId;
 use sim_core::rng::SimRng;
 use sim_core::time::SimDuration;
 use vscale::{DomId, Machine};
-use xen_sched::HypervisorSched;
+use xen_sched::Policy;
 
 use crate::spin::SpinPolicy;
 
@@ -233,8 +233,8 @@ pub struct NpbRun {
 /// Installs `app` into `dom` with `n_threads` workers (OpenMP sizes its
 /// pool from the online vCPU count at startup) under the given spin
 /// policy, and starts every thread.
-pub fn install<S: HypervisorSched>(
-    m: &mut Machine<S>,
+pub fn install<P: Policy>(
+    m: &mut Machine<P>,
     dom: DomId,
     app: NpbApp,
     n_threads: usize,

@@ -26,7 +26,7 @@ use guest_kernel::ThreadId;
 use sim_core::rng::SimRng;
 use sim_core::time::SimDuration;
 use vscale::{DomId, Machine};
-use xen_sched::HypervisorSched;
+use xen_sched::Policy;
 
 /// Program template for one application.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -449,8 +449,8 @@ pub struct ParsecRun {
 }
 
 /// Installs `app` into `dom` with `n_threads` workers and starts them.
-pub fn install<S: HypervisorSched>(
-    m: &mut Machine<S>,
+pub fn install<P: Policy>(
+    m: &mut Machine<P>,
     dom: DomId,
     app: ParsecApp,
     n_threads: usize,

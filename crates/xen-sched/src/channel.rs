@@ -15,8 +15,8 @@
 use sim_core::fault::ChannelReadFault;
 use sim_core::time::SimDuration;
 
-use crate::api::HypervisorSched;
 use crate::extend::ExtendInfo;
+use crate::pool::{Policy, Pool};
 use sim_core::ids::DomId;
 
 /// Initial retransmit timeout after an unacknowledged doorbell ring
@@ -185,7 +185,7 @@ pub struct ReliableRead {
 ///
 /// [`VscaleChannel::read_reliable`] layers the recovery protocol on top:
 /// serves are checked against the publisher's seqlock version
-/// ([`HypervisorSched::extend_version`]) and the snapshot invariants, bad
+/// ([`Pool::extend_version`]) and the snapshot invariants, bad
 /// serves are retried under a bounded budget, and budget exhaustion falls
 /// back to the last snapshot that passed both checks.
 #[derive(Clone, Debug, Default)]
@@ -209,7 +209,7 @@ impl VscaleChannel {
 
     /// Performs one read on behalf of `dom`: returns the latest
     /// extendability.
-    pub fn read<S: HypervisorSched>(&mut self, sched: &S, dom: DomId) -> ExtendInfo {
+    pub fn read<P: Policy>(&mut self, sched: &Pool<P>, dom: DomId) -> ExtendInfo {
         self.read_faulted(sched, dom, ChannelReadFault::Fresh)
     }
 
@@ -226,9 +226,9 @@ impl VscaleChannel {
     ///   one, and a zero accounting period — the signature of a reader
     ///   straddling a republication. Always fails
     ///   [`ExtendInfo::validate`], so a defensive consumer discards it.
-    pub fn read_faulted<S: HypervisorSched>(
+    pub fn read_faulted<P: Policy>(
         &mut self,
-        sched: &S,
+        sched: &Pool<P>,
         dom: DomId,
         fault: ChannelReadFault,
     ) -> ExtendInfo {
@@ -262,9 +262,9 @@ impl VscaleChannel {
     /// [`ReliableRead::retries`] counts the extra attempts, so the caller
     /// can charge one full read cost for each, exactly like the real
     /// protocol re-issuing `sys_getvscaleinfo`.
-    pub fn read_reliable<S: HypervisorSched>(
+    pub fn read_reliable<P: Policy>(
         &mut self,
-        sched: &S,
+        sched: &Pool<P>,
         dom: DomId,
         budget: u32,
         mut fault: impl FnMut() -> ChannelReadFault,
@@ -372,7 +372,6 @@ sim_core::snap_struct!(VscaleChannel "vchan" {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::HypervisorSched;
     use crate::credit::{CreditConfig, CreditScheduler};
     use sim_core::ids::{GlobalVcpu, VcpuId};
     use sim_core::time::SimTime;

@@ -24,7 +24,7 @@
 //!    and then split among active vCPUs, so freezing vCPUs never shrinks a
 //!    domain's total allocation.
 //! 2. **Frozen vCPUs leave the active list.** A vCPU the guest has frozen
-//!    (via the `SCHEDOP_freezecpu` hypercall, [`HypervisorSched::set_frozen`])
+//!    (via the `SCHEDOP_freezecpu` hypercall, [`Pool::set_frozen`])
 //!    stops earning credits; its share flows to its siblings.
 //!
 //! The pool does the dispatch and keeps the per-vCPU *waiting time* (time
@@ -39,7 +39,6 @@ use std::collections::VecDeque;
 use sim_core::ids::{DomId, GlobalVcpu, PcpuId, VcpuId};
 use sim_core::time::{SimDuration, SimTime};
 
-use crate::api::HypervisorSched;
 use crate::pool::{Domain, Pcpu, Policy, Pool};
 
 /// Scheduling priority of a runnable vCPU, ordered from most to least urgent.

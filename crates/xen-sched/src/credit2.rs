@@ -198,7 +198,6 @@ impl Policy for Credit2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::HypervisorSched;
     use crate::credit::{CreditConfig, SchedEvent};
     use sim_core::ids::{DomId, VcpuId};
     use sim_core::time::SimTime;

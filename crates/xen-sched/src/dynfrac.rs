@@ -204,7 +204,6 @@ impl Policy for DynFrac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::HypervisorSched;
     use crate::credit::CreditConfig;
     use sim_core::ids::VcpuId;
     use sim_core::time::SimTime;

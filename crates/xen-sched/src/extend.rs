@@ -19,8 +19,7 @@
 //!
 //! [`compute_extendability`] is pure — it is exercised directly by unit
 //! and property tests. Every backend drives it through one
-//! `ExtendWindow`, from its
-//! [`HypervisorSched::on_extend_tick`](crate::api::HypervisorSched::on_extend_tick):
+//! `ExtendWindow`, from [`Pool::on_extend_tick`](crate::pool::Pool::on_extend_tick):
 //! the window's start and publication version are scheduler state, and
 //! every backend's domain record is the shared `pool::Domain`.
 

@@ -7,10 +7,9 @@
 //!   time slices, BOOST/UNDER/OVER priorities, work-conserving idle stealing,
 //!   and per-VM weights (the paper's §4.2 modification — freezing vCPUs does
 //!   not change a domain's total credit).
-//! - [`api`] — the [`HypervisorSched`] trait every backend implements; the
-//!   credit, Credit2-style ([`credit2`]) and dynamic-fractional
-//!   ([`dynfrac`]) backends are three [`pool::Policy`] implementations
-//!   over one [`pool::Pool`].
+//! - [`pool`] — the [`Pool`] every machine drives; the credit,
+//!   Credit2-style ([`credit2`]) and dynamic-fractional ([`dynfrac`])
+//!   backends are three [`Policy`] implementations over it.
 //! - [`extend`] — **Algorithm 1** of the paper: the periodic computation of
 //!   every SMP domain's *CPU extendability* (its maximum achievable CPU
 //!   allocation under current machine-wide load) and the optimal number of
@@ -29,7 +28,6 @@
 //! `on_tick` / `on_acct` / `slice_expired` / `vcpu_wake` / ... calls and
 //! receives [`credit::SchedEvent`]s describing pCPU assignment changes.
 
-pub mod api;
 pub mod channel;
 pub mod credit;
 pub mod credit2;
@@ -39,10 +37,10 @@ pub mod extend;
 pub mod libxl_model;
 pub mod pool;
 
-pub use api::{DomSchedExport, HypervisorSched, VcpuSchedExport};
 pub use channel::VscaleChannel;
-pub use credit::{CreditConfig, CreditScheduler, Prio, SchedEvent, VcpuState};
-pub use credit2::Credit2Scheduler;
-pub use dynfrac::DynFracScheduler;
+pub use credit::{Credit, CreditConfig, CreditScheduler, Prio, SchedEvent, VcpuState};
+pub use credit2::{Credit2, Credit2Scheduler};
+pub use dynfrac::{DynFrac, DynFracScheduler};
 pub use extend::{ExtendInfo, ExtendParams};
+pub use pool::{DomSchedExport, Policy, Pool, VcpuSchedExport};
 pub use sim_core::ids::{DomId, GlobalVcpu, PcpuId, VcpuId};

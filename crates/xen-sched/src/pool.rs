@@ -1,6 +1,11 @@
-//! One pCPU pool, three policies: the shared [`HypervisorSched`]
-//! implementation behind the credit, Credit2-style and
-//! dynamic-fractional backends.
+//! One pCPU pool, three policies: [`Pool`] is the hypervisor scheduler
+//! the machine, the vScale channel and the differential harness drive.
+//! vScale (EuroSys'16) is evaluated on Xen's credit scheduler only, but
+//! nothing in its design — Algorithm 1, the per-VM channel, the guest-side
+//! balancer — is credit-specific, so the credit ([`crate::credit`], the
+//! paper's baseline), Credit2-style ([`crate::credit2`]) and
+//! dynamic-fractional ([`crate::dynfrac`]) backends are three [`Policy`]
+//! implementations over one pool.
 //!
 //! The three backends dispatch identically. A vCPU is placed on an empty
 //! pCPU with a `Run` event, burned on every tick
@@ -24,22 +29,86 @@
 //! [`Pool`] writes everything else once. Casanova et al.'s DFRS draws the
 //! same line: a dynamic-fractional scheduler is a share-recomputation rule
 //! plus a pick rule over a shared dispatch mechanism.
+//!
+//! # The driving contract
+//!
+//! A pool is a passive decision structure; the machine drives it and
+//! consumes [`SchedEvent`]s describing assignment changes. Every policy
+//! must honor the same contract the machine was built against:
+//!
+//! - Exactly one [`SchedEvent::Run`] is emitted each time a vCPU is
+//!   placed on a pCPU, and a [`SchedEvent::Desched`] before the same
+//!   vCPU is placed elsewhere or the pCPU goes to something else. So a
+//!   pCPU's events alternate `Run`, `Desched`, `Run`, … and name the
+//!   same vCPU in each pair; the machine arms a pCPU's slice timer on
+//!   `Run` and disarms it on `Desched`, and `testkit::differential`
+//!   checks this after every op.
+//! - A frozen vCPU keeps running until the guest blocks it
+//!   ([`Pool::set_frozen`] only changes accounting — the paper's
+//!   Algorithm 2 splits freezing into hypervisor-side accounting removal
+//!   and guest-side blocking); a *blocked* frozen vCPU must never be
+//!   picked.
+//! - Work conservation: no pCPU idles while an unfrozen runnable vCPU
+//!   waits (steal or migrate as the policy dictates).
+//! - Run/wait totals are monotone and only advance for vCPUs actually
+//!   running/waiting — the differential harness's conservation laws
+//!   (`testkit::differential`) check total run time against pCPU
+//!   capacity across policies.
+//!
+//! Every policy is constructed from the same [`CreditConfig`] timing
+//! block (tick, slice, accounting period, extendability window), so one
+//! `MachineConfig` drives any policy and cross-policy runs share the
+//! same time base.
 
 use sim_core::ids::{DomId, GlobalVcpu, PcpuId, VcpuId};
 use sim_core::snap::Snap;
 use sim_core::soa::VcpuMap;
 use sim_core::time::{SimDuration, SimTime};
 
-use crate::api::{DomSchedExport, HypervisorSched, VcpuSchedExport};
 use crate::credit::{CreditConfig, SchedEvent, VcpuState, RATELIMIT};
 use crate::extend::{ExtendInfo, ExtendWindow};
+
+/// Per-vCPU scheduler state that travels with a live migration.
+///
+/// Unlike a whole-machine checkpoint ([`Snap::save`]), a
+/// migrating domain lands in a *different* pool with its own runqueues
+/// and timeline, so only policy-portable facts are carried: the freeze
+/// flag, whether the vCPU had runnable work, and its credit balance
+/// (ignored by policies without a credit notion).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct VcpuSchedExport {
+    /// The guest-requested freeze flag (`SCHEDOP_freezecpu`).
+    pub frozen: bool,
+    /// Whether the vCPU was running or runnable at export time.
+    pub runnable: bool,
+    /// Policy-specific credit balance; zero when the policy carries
+    /// none.
+    pub credit: i64,
+}
+
+sim_core::snap_struct!(VcpuSchedExport {
+    frozen,
+    runnable,
+    credit,
+});
+
+/// The per-domain scheduler payload of a live migration, produced by
+/// [`Pool::export_domain`] and consumed by [`Pool::import_domain`] on the
+/// destination pool.
+#[derive(Clone, Debug, Default)]
+pub struct DomSchedExport {
+    /// One entry per vCPU, in vCPU-index order.
+    pub vcpus: Vec<VcpuSchedExport>,
+}
+
+sim_core::snap_struct!(DomSchedExport { vcpus });
 
 /// A policy's share of a pool backend: its per-pCPU, per-domain and
 /// per-vCPU state and the hooks where the backends really differ. Hooks
 /// that need more than their own state take the whole [`Pool`].
 pub trait Policy: Snap + Default + Sized {
-    /// The backend name ([`HypervisorSched::backend_name`]), also the
-    /// pool's snapshot section tag.
+    /// Short stable backend name, used for bench axes and trace labels;
+    /// also the pool's snapshot section tag.
     const NAME: &'static str;
 
     /// The runqueue each pCPU holds; `()` for one global queue.
@@ -114,7 +183,7 @@ pub trait Policy: Snap + Default + Sized {
         pool.reschedule(pcpu, now, events);
     }
 
-    /// An urgent kick of `gv` ([`HypervisorSched::kick_vcpu`]). By default
+    /// An urgent kick of `gv` ([`Pool::kick_vcpu`]). By default
     /// it wakes `gv` and, if it is still only queued, evicts its home
     /// pCPU's current to run it, bypassing the preemption rule — unless
     /// the kick-throttle defense protects a freshly placed occupant.
@@ -263,8 +332,8 @@ impl<A: Default> Domain<A> {
 ///
 /// Caps and reservations bound extendability (Algorithm 1) on every
 /// policy; enforcing a cap is the policy's business. Freezing follows the
-/// vScale §4.2 split: [`HypervisorSched::set_frozen`] only changes
-/// accounting, while the guest blocks the vCPU separately.
+/// vScale §4.2 split: [`Pool::set_frozen`] only changes accounting, while
+/// the guest blocks the vCPU separately.
 ///
 /// All state-changing entry points append the resulting [`SchedEvent`]s
 /// to a caller-provided sink instead of returning a fresh `Vec`, so the
@@ -291,8 +360,10 @@ pub struct Pool<P: Policy> {
     pub(crate) config: CreditConfig,
 }
 
-// The configuration and the pCPU/domain/vCPU populations are structural:
-// restore targets a pool built the same way and asserts they match.
+// The image carries the complete mutable state, down to runqueue FIFO
+// order. The configuration and the pCPU/domain/vCPU populations are
+// structural: restore targets a pool built the same way and asserts they
+// match.
 sim_core::snap_struct!(Pool<P: Policy> P::NAME {
     pcpus: twin "pCPU count drifted",
     domains: twin "domain count drifted",
@@ -305,7 +376,9 @@ sim_core::snap_struct!(Pool<P: Policy> P::NAME {
 } skip { config });
 
 impl<P: Policy> Pool<P> {
-    /// Creates a pool managing `n_pcpus` physical CPUs.
+    /// Creates a pool managing `n_pcpus` physical CPUs, with timing
+    /// parameters (tick, slice, accounting period, extendability window)
+    /// taken from the shared `config` block.
     pub fn new(config: CreditConfig, n_pcpus: usize) -> Self {
         assert!(n_pcpus > 0, "a CPU pool needs at least one pCPU");
         Pool {
@@ -319,24 +392,6 @@ impl<P: Policy> Pool<P> {
             extend: ExtendWindow::default(),
             config,
         }
-    }
-
-    // `perf/` reads these three through `Machine::hv()` without importing
-    // `HypervisorSched`, so they stay inherent as well as in the trait.
-
-    /// Number of pCPUs in the pool.
-    pub fn n_pcpus(&self) -> usize {
-        self.pcpus.len()
-    }
-
-    /// Number of vCPU migrations, as the policy counts them.
-    pub fn migrations(&self) -> u64 {
-        self.migrations
-    }
-
-    /// Context switches performed on `pcpu`.
-    pub fn switches(&self, pcpu: PcpuId) -> u64 {
-        self.pcpus[pcpu.index()].switches
     }
 
     /// Charges the vCPU running on `pcpu` for the time since its last
@@ -480,24 +535,18 @@ impl<P: Policy> Pool<P> {
     }
 }
 
-impl<P: Policy> HypervisorSched for Pool<P> {
-    fn new_pool(config: CreditConfig, n_pcpus: usize) -> Self {
-        Pool::new(config, n_pcpus)
-    }
-
-    fn backend_name() -> &'static str {
-        P::NAME
-    }
-
-    fn n_pcpus(&self) -> usize {
+/// The driving surface: the calls the machine, the vScale channel and the
+/// differential harness make.
+impl<P: Policy> Pool<P> {
+    /// Number of pCPUs in the pool.
+    pub fn n_pcpus(&self) -> usize {
         self.pcpus.len()
     }
 
-    fn n_domains(&self) -> usize {
-        self.domains.len()
-    }
-
-    fn create_domain(
+    /// Creates a domain with `n_vcpus` vCPUs and proportional-share
+    /// `weight`; all vCPUs start blocked. `cap_pcpus` /
+    /// `reservation_pcpus` bound the domain's extendability.
+    pub fn create_domain(
         &mut self,
         weight: u32,
         n_vcpus: usize,
@@ -524,11 +573,14 @@ impl<P: Policy> HypervisorSched for Pool<P> {
         id
     }
 
-    fn n_vcpus(&self, dom: DomId) -> usize {
+    /// Number of vCPUs of `dom`.
+    pub fn n_vcpus(&self, dom: DomId) -> usize {
         self.hot.n_vcpus(dom)
     }
 
-    fn on_tick(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
+    /// Per-pCPU periodic tick: burn/account run time and preempt if the
+    /// policy says so.
+    pub fn on_tick(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
         self.burn(pcpu, now);
         if let Some(cur) = self.pcpus[pcpu.index()].current {
             P::tick(self, cur);
@@ -538,18 +590,23 @@ impl<P: Policy> HypervisorSched for Pool<P> {
         self.maybe_preempt(pcpu, now, None, events);
     }
 
-    fn on_acct(&mut self, now: SimTime, events: &mut Vec<SchedEvent>) {
+    /// Machine-wide accounting epoch: redistribute credits/shares, apply
+    /// caps, rebalance.
+    pub fn on_acct(&mut self, now: SimTime, events: &mut Vec<SchedEvent>) {
         self.burn_all(now);
         P::acct(self, now, events);
     }
 
-    fn on_extend_tick(&mut self, now: SimTime) {
+    /// Extendability window tick: recompute Algorithm 1 for every domain
+    /// and republish the per-domain [`ExtendInfo`] snapshots.
+    pub fn on_extend_tick(&mut self, now: SimTime) {
         self.burn_all(now);
         self.extend
             .tick(now, self.pcpus.len(), &mut self.domains, &self.hot);
     }
 
-    fn slice_expired(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
+    /// The time slice of the vCPU on `pcpu` expired.
+    pub fn slice_expired(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
         if self.pcpus[pcpu.index()].current.is_some() {
             self.preempt(pcpu, now, events);
         } else {
@@ -557,7 +614,8 @@ impl<P: Policy> HypervisorSched for Pool<P> {
         }
     }
 
-    fn vcpu_wake(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
+    /// `gv` became runnable (guest unblocked it).
+    pub fn vcpu_wake(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
         if !matches!(self.hot[gv].state, VcpuState::Blocked { .. }) {
             return;
         }
@@ -568,7 +626,8 @@ impl<P: Policy> HypervisorSched for Pool<P> {
         self.maybe_preempt(serve, now, Some(gv), events);
     }
 
-    fn vcpu_block(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
+    /// `gv` blocked (guest idled or PV-blocked it).
+    pub fn vcpu_block(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
         match self.hot[gv].state {
             VcpuState::Running { pcpu, .. } => {
                 self.deschedule_current(pcpu, now, false, events);
@@ -584,7 +643,8 @@ impl<P: Policy> HypervisorSched for Pool<P> {
         }
     }
 
-    fn vcpu_yield(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
+    /// `gv` yielded its pCPU voluntarily.
+    pub fn vcpu_yield(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
         let VcpuState::Running { pcpu, .. } = self.hot[gv].state else {
             return;
         };
@@ -593,84 +653,117 @@ impl<P: Policy> HypervisorSched for Pool<P> {
         self.reschedule(pcpu, now, events);
     }
 
-    fn kick_vcpu(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
+    /// Urgent wake (IPI delivery): like [`Pool::vcpu_wake`]
+    /// but bypassing any preemption rate limit.
+    pub fn kick_vcpu(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
         P::kick(self, gv, now, events);
     }
 
-    fn set_frozen(&mut self, gv: GlobalVcpu, frozen: bool) {
+    /// Marks `gv` frozen/unfrozen for *accounting* (the paper's §4.2:
+    /// a frozen vCPU no longer splits its domain's credits). The guest
+    /// blocks/wakes the vCPU separately.
+    pub fn set_frozen(&mut self, gv: GlobalVcpu, frozen: bool) {
         self.hot[gv].frozen = frozen;
     }
 
-    fn is_frozen(&self, gv: GlobalVcpu) -> bool {
+    /// Whether the guest has frozen this vCPU.
+    pub fn is_frozen(&self, gv: GlobalVcpu) -> bool {
         self.hot[gv].frozen
     }
 
-    fn running_on(&self, pcpu: PcpuId) -> Option<GlobalVcpu> {
+    /// The vCPU currently running on `pcpu`, if any.
+    pub fn running_on(&self, pcpu: PcpuId) -> Option<GlobalVcpu> {
         self.pcpus[pcpu.index()].current
     }
 
-    fn where_running(&self, gv: GlobalVcpu) -> Option<PcpuId> {
+    /// The pCPU `gv` currently runs on, if it is running.
+    pub fn where_running(&self, gv: GlobalVcpu) -> Option<PcpuId> {
         match self.hot[gv].state {
             VcpuState::Running { pcpu, .. } => Some(pcpu),
             _ => None,
         }
     }
 
-    fn vcpu_state(&self, gv: GlobalVcpu) -> VcpuState {
+    /// The state of a vCPU.
+    pub fn vcpu_state(&self, gv: GlobalVcpu) -> VcpuState {
         self.hot[gv].state
     }
 
-    fn domain_wait_total(&self, dom: DomId) -> SimDuration {
+    /// Sum of waiting time across all vCPUs of `dom` (Figure 9 metric).
+    pub fn domain_wait_total(&self, dom: DomId) -> SimDuration {
         self.stats
             .domain(dom)
             .iter()
             .fold(SimDuration::ZERO, |acc, v| acc.saturating_add(v.wait_total))
     }
 
-    fn domain_run_total(&self, dom: DomId) -> SimDuration {
+    /// Sum of run time across all vCPUs of `dom`.
+    pub fn domain_run_total(&self, dom: DomId) -> SimDuration {
         self.stats
             .domain(dom)
             .iter()
             .fold(SimDuration::ZERO, |acc, v| acc.saturating_add(v.run_total))
     }
 
-    fn vcpu_wait_total(&self, gv: GlobalVcpu) -> SimDuration {
+    /// Total time `gv` has spent waiting runnable in run queues.
+    pub fn vcpu_wait_total(&self, gv: GlobalVcpu) -> SimDuration {
         self.stats[gv].wait_total
     }
 
-    fn vcpu_run_total(&self, gv: GlobalVcpu) -> SimDuration {
+    /// Total time `gv` has spent running on pCPUs.
+    pub fn vcpu_run_total(&self, gv: GlobalVcpu) -> SimDuration {
         self.stats[gv].run_total
     }
 
-    fn total_run_ns(&self) -> u64 {
+    /// Machine-wide run time aggregate in nanoseconds, maintained O(1)
+    /// at burn time. The machine's watchdog progress fingerprint reads
+    /// this once per check instead of folding every domain's per-vCPU
+    /// totals on the dispatch path.
+    pub fn total_run_ns(&self) -> u64 {
         self.total_run_ns
     }
 
-    fn migrations(&self) -> u64 {
+    /// Number of vCPU cross-pCPU migrations (steals) performed.
+    pub fn migrations(&self) -> u64 {
         self.migrations
     }
 
-    fn switches(&self, pcpu: PcpuId) -> u64 {
+    /// Context switches performed on `pcpu`.
+    pub fn switches(&self, pcpu: PcpuId) -> u64 {
         self.pcpus[pcpu.index()].switches
     }
 
-    fn scheduled_count(&self, gv: GlobalVcpu) -> u64 {
+    /// How many times `gv` has been placed on a pCPU.
+    pub fn scheduled_count(&self, gv: GlobalVcpu) -> u64 {
         self.stats[gv].scheduled_count
     }
 
-    fn extendability(&self, dom: DomId) -> ExtendInfo {
+    /// The latest Algorithm 1 snapshot for `dom` (the vScale channel
+    /// serves this).
+    pub fn extendability(&self, dom: DomId) -> ExtendInfo {
         self.domains[dom.index()].extend
     }
 
-    fn extend_version(&self) -> u64 {
+    /// Publication version of the extendability snapshots (seqlock
+    /// analogue; bumps on every [`Pool::on_extend_tick`] that
+    /// republishes). A reader holding snapshot version `v` knows a serve
+    /// is stale when `v < extend_version()` yet the serve repeats version
+    /// `v`'s fields.
+    pub fn extend_version(&self) -> u64 {
         self.extend.version()
     }
 
-    fn kicks_throttled(&self, dom: DomId) -> u64 {
+    /// Kick-path evictions suppressed by the kick-throttle defense
+    /// ([`CreditConfig::kick_throttle`]) for kicks aimed at `dom`'s
+    /// vCPUs. Zero when the defense is off (the default).
+    pub fn kicks_throttled(&self, dom: DomId) -> u64 {
         self.domains[dom.index()].kicks_throttled
     }
 
-    fn export_domain(&self, dom: DomId) -> DomSchedExport {
+    /// Extracts the migration payload for `dom`: per vCPU, the freeze
+    /// flag, whether it had runnable work, and its credit balance (zero
+    /// for a policy without one).
+    pub fn export_domain(&self, dom: DomId) -> DomSchedExport {
         DomSchedExport {
             vcpus: self
                 .hot
@@ -685,7 +778,24 @@ impl<P: Policy> HypervisorSched for Pool<P> {
         }
     }
 
-    fn import_domain(
+    /// Blocks every vCPU of `dom` and freezes it out of the pool — the
+    /// source side of a migration cutover, or a crashed VM. Routed
+    /// through the normal block path so the usual Desched/Run events are
+    /// emitted and the machine can unwind its dispatch state.
+    pub fn detach_domain(&mut self, dom: DomId, now: SimTime, events: &mut Vec<SchedEvent>) {
+        for v in 0..self.n_vcpus(dom) {
+            let gv = GlobalVcpu::new(dom, VcpuId(v));
+            self.vcpu_block(gv, now, events);
+            self.set_frozen(gv, true);
+        }
+    }
+
+    /// Installs a payload from [`Pool::export_domain`] into
+    /// `dom` — a freshly created, fully blocked twin — restoring credit
+    /// balances and waking the vCPUs that had runnable work. Wake precedes
+    /// the freeze-flag restore because a frozen vCPU keeps running until
+    /// the guest blocks it.
+    pub fn import_domain(
         &mut self,
         dom: DomId,
         export: &DomSchedExport,
@@ -704,6 +814,13 @@ impl<P: Policy> HypervisorSched for Pool<P> {
                 self.vcpu_wake(gv, now, events);
             }
             self.hot[gv].frozen = x.frozen;
+        }
+    }
+
+    /// Wakes every vCPU of `dom` (guest boot / failsafe unfreeze).
+    pub fn wake_domain(&mut self, dom: DomId, now: SimTime, events: &mut Vec<SchedEvent>) {
+        for v in 0..self.n_vcpus(dom) {
+            self.vcpu_wake(GlobalVcpu::new(dom, VcpuId(v)), now, events);
         }
     }
 }

@@ -79,11 +79,13 @@ differential_smoke() {
 }
 
 # Every pin on scheduler trajectories and images in one step: the
-# xen-sched unit tests, the cross-backend laws, the layout goldens, the
-# determinism goldens and the snapshot image goldens.
+# xen-sched unit tests, testkit's unit tests (the differential harness's
+# one op interpreter and its broken-freeze shrinker check), the
+# cross-backend laws, the layout goldens, the determinism goldens and the
+# snapshot image goldens.
 scheduler_gate() {
-    echo "== scheduler: xen-sched unit tests + trajectory and image pins =="
-    cargo test -q --offline -p xen-sched
+    echo "== scheduler: xen-sched and testkit unit tests + trajectory and image pins =="
+    cargo test -q --offline -p xen-sched -p testkit
     cargo test -q --offline --test differential --test layout_equivalence \
         --test determinism --test snapshot
     echo "   scheduler pins OK"

@@ -19,7 +19,7 @@ use vscale_repro::core::daemon::DaemonConfig;
 use vscale_repro::core::machine::Machine;
 use vscale_repro::guest::thread::{OneShot, Script, ThreadAction, ThreadKind};
 use vscale_repro::guest::KernelVersion;
-use vscale_repro::hv::{Credit2Scheduler, CreditScheduler, DynFracScheduler, HypervisorSched};
+use vscale_repro::hv::{Credit, Credit2, DynFrac, Policy};
 use vscale_repro::sim::fault::{FaultConfig, SimErrorKind, PPM};
 use vscale_repro::sim::time::{SimDuration, SimTime};
 use vscale_repro::{DomId, VcpuId};
@@ -427,7 +427,7 @@ fn failsafe_unfreezes_everything_when_the_daemon_goes_dark() {
 /// Generic over the scheduler backend: the recovery contract is about
 /// the channel/daemon/balancer layers, so it must hold whether the
 /// hypervisor runs credit, credit2, or dynamic-fractional scheduling.
-fn inject_recover_converge<S: HypervisorSched>(
+fn inject_recover_converge<P: Policy>(
     seed: u64,
     cfg: Option<FaultConfig>,
 ) -> (
@@ -436,7 +436,7 @@ fn inject_recover_converge<S: HypervisorSched>(
     Option<vscale_repro::sim::fault::FaultStats>,
     bool,
 ) {
-    let mut m: Machine<S> = Machine::with_backend(MachineConfig {
+    let mut m: Machine<P> = Machine::with_backend(MachineConfig {
         n_pcpus: 2,
         seed,
         ..MachineConfig::default()
@@ -491,8 +491,8 @@ fn inject_recover_converge<S: HypervisorSched>(
 /// of the fault-free run, and (d) guest/hypervisor freeze state agrees
 /// at the end. The clean baseline is measured on the same backend, since
 /// completion times legitimately differ between policies.
-fn fault_classes_recover_on<S: HypervisorSched>() {
-    let (clean_done, _, _, clean_consistent) = inject_recover_converge::<S>(23, None);
+fn fault_classes_recover_on<P: Policy>() {
+    let (clean_done, _, _, clean_consistent) = inject_recover_converge::<P>(23, None);
     assert!(clean_consistent, "fault-free run ended inconsistent");
     let bound =
         SimTime::ZERO + clean_done.since(SimTime::ZERO).mul_f64(2.0) + SimDuration::from_ms(500);
@@ -564,9 +564,9 @@ fn fault_classes_recover_on<S: HypervisorSched>() {
         ),
     ];
     for (name, cfg, recovered) in classes {
-        let (done, st, fs, consistent) = inject_recover_converge::<S>(23, Some(cfg));
+        let (done, st, fs, consistent) = inject_recover_converge::<P>(23, Some(cfg));
         let fs = fs.expect("plan installed");
-        let backend = S::backend_name();
+        let backend = P::NAME;
         assert!(
             recovered(&st, &fs),
             "[{backend}] {name}: recovery protocol never ran: {st:?} {fs:?}"
@@ -584,17 +584,17 @@ fn fault_classes_recover_on<S: HypervisorSched>() {
 
 #[test]
 fn every_fault_class_recovers_and_converges() {
-    fault_classes_recover_on::<CreditScheduler>();
+    fault_classes_recover_on::<Credit>();
 }
 
 #[test]
 fn every_fault_class_recovers_and_converges_on_credit2() {
-    fault_classes_recover_on::<Credit2Scheduler>();
+    fault_classes_recover_on::<Credit2>();
 }
 
 #[test]
 fn every_fault_class_recovers_and_converges_on_dynfrac() {
-    fault_classes_recover_on::<DynFracScheduler>();
+    fault_classes_recover_on::<DynFrac>();
 }
 
 #[test]

@@ -6,6 +6,7 @@
 //! (scheduler tie-breaking, RNG consumption order, queue ordering)
 //! fails loudly here.
 
+use testkit::fnv1a;
 use vscale_repro::apps::desktop::{self, SlideshowConfig};
 use vscale_repro::apps::npb::{self, NpbApp};
 use vscale_repro::apps::spin::SpinPolicy;
@@ -50,22 +51,10 @@ fn same_seed_bit_identical_trace_and_stats() {
     assert_eq!(trace_a, trace_b);
 }
 
-/// FNV-1a over raw bytes — a hermetic, dependency-free digest. Only used
-/// to pin golden traces; collision resistance is irrelevant because the
-/// inputs are fixed-seed deterministic runs, not adversarial.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[test]
 fn golden_credit_traces_byte_identical_to_pre_refactor() {
-    // Checksums captured from the Credit scheduler BEFORE the
-    // `HypervisorSched` trait extraction. The refactor (and anything
+    // Checksums captured from the Credit scheduler BEFORE it became one
+    // of several pluggable scheduler backends. That refactor (and anything
     // after it) must keep the Credit backend byte-identical: every traced
     // scheduling transition and the final domain stats hash to exactly
     // these values. If a deliberate behavior change moves them, recapture

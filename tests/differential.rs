@@ -25,18 +25,18 @@ use testkit::differential::{
     adversarial_scenario_gen, minimize_pair, minimize_pair_adversarial, replay, scenario_gen,
 };
 use testkit::{run_prop, Config};
-use vscale_repro::hv::{Credit2Scheduler, CreditScheduler, DynFracScheduler, HypervisorSched};
+use vscale_repro::hv::{Credit, Credit2, DynFrac, Policy};
 
 const CASES: u32 = 256;
 const MAX_OPS: usize = 120;
 
-fn backend_invariants<S: HypervisorSched>() {
+fn backend_invariants<P: Policy>() {
     run_prop(
-        &format!("{}_invariants", S::backend_name()),
+        &format!("{}_invariants", P::NAME),
         Config::with_cases(CASES),
         &scenario_gen(MAX_OPS),
         |sc| {
-            replay::<S>(sc)?;
+            replay::<P>(sc)?;
             Ok(())
         },
     );
@@ -44,20 +44,20 @@ fn backend_invariants<S: HypervisorSched>() {
 
 #[test]
 fn credit_invariants_over_256_streams() {
-    backend_invariants::<CreditScheduler>();
+    backend_invariants::<Credit>();
 }
 
 #[test]
 fn credit2_invariants_over_256_streams() {
-    backend_invariants::<Credit2Scheduler>();
+    backend_invariants::<Credit2>();
 }
 
 #[test]
 fn dynfrac_invariants_over_256_streams() {
-    backend_invariants::<DynFracScheduler>();
+    backend_invariants::<DynFrac>();
 }
 
-fn pair_agrees<A: HypervisorSched, B: HypervisorSched>() {
+fn pair_agrees<A: Policy, B: Policy>() {
     let cfg = Config {
         cases: CASES,
         ..Config::default()
@@ -65,8 +65,8 @@ fn pair_agrees<A: HypervisorSched, B: HypervisorSched>() {
     if let Some(cx) = minimize_pair::<A, B>(cfg, MAX_OPS) {
         panic!(
             "{} vs {} diverged at case {} ({}); minimal scenario after {} shrink candidates:\n{:#?}",
-            A::backend_name(),
-            B::backend_name(),
+            A::NAME,
+            B::NAME,
             cx.case,
             cx.error,
             cx.shrink_candidates,
@@ -75,13 +75,13 @@ fn pair_agrees<A: HypervisorSched, B: HypervisorSched>() {
     }
 }
 
-fn backend_invariants_adversarial<S: HypervisorSched>() {
+fn backend_invariants_adversarial<P: Policy>() {
     run_prop(
-        &format!("{}_adversarial_invariants", S::backend_name()),
+        &format!("{}_adversarial_invariants", P::NAME),
         Config::with_cases(CASES),
         &adversarial_scenario_gen(MAX_OPS),
         |sc| {
-            replay::<S>(sc)?;
+            replay::<P>(sc)?;
             Ok(())
         },
     );
@@ -89,20 +89,20 @@ fn backend_invariants_adversarial<S: HypervisorSched>() {
 
 #[test]
 fn credit_invariants_over_adversarial_streams() {
-    backend_invariants_adversarial::<CreditScheduler>();
+    backend_invariants_adversarial::<Credit>();
 }
 
 #[test]
 fn credit2_invariants_over_adversarial_streams() {
-    backend_invariants_adversarial::<Credit2Scheduler>();
+    backend_invariants_adversarial::<Credit2>();
 }
 
 #[test]
 fn dynfrac_invariants_over_adversarial_streams() {
-    backend_invariants_adversarial::<DynFracScheduler>();
+    backend_invariants_adversarial::<DynFrac>();
 }
 
-fn pair_agrees_adversarial<A: HypervisorSched, B: HypervisorSched>() {
+fn pair_agrees_adversarial<A: Policy, B: Policy>() {
     let cfg = Config {
         cases: CASES,
         ..Config::default()
@@ -110,8 +110,8 @@ fn pair_agrees_adversarial<A: HypervisorSched, B: HypervisorSched>() {
     if let Some(cx) = minimize_pair_adversarial::<A, B>(cfg, MAX_OPS) {
         panic!(
             "{} vs {} diverged on an adversarial stream at case {} ({}); minimal scenario:\n{:#?}",
-            A::backend_name(),
-            B::backend_name(),
+            A::NAME,
+            B::NAME,
             cx.case,
             cx.error,
             cx.value,
@@ -121,30 +121,30 @@ fn pair_agrees_adversarial<A: HypervisorSched, B: HypervisorSched>() {
 
 #[test]
 fn credit_vs_credit2_conservation_under_attack_streams() {
-    pair_agrees_adversarial::<CreditScheduler, Credit2Scheduler>();
+    pair_agrees_adversarial::<Credit, Credit2>();
 }
 
 #[test]
 fn credit_vs_dynfrac_conservation_under_attack_streams() {
-    pair_agrees_adversarial::<CreditScheduler, DynFracScheduler>();
+    pair_agrees_adversarial::<Credit, DynFrac>();
 }
 
 #[test]
 fn credit2_vs_dynfrac_conservation_under_attack_streams() {
-    pair_agrees_adversarial::<Credit2Scheduler, DynFracScheduler>();
+    pair_agrees_adversarial::<Credit2, DynFrac>();
 }
 
 #[test]
 fn credit_vs_credit2_conservation() {
-    pair_agrees::<CreditScheduler, Credit2Scheduler>();
+    pair_agrees::<Credit, Credit2>();
 }
 
 #[test]
 fn credit_vs_dynfrac_conservation() {
-    pair_agrees::<CreditScheduler, DynFracScheduler>();
+    pair_agrees::<Credit, DynFrac>();
 }
 
 #[test]
 fn credit2_vs_dynfrac_conservation() {
-    pair_agrees::<Credit2Scheduler, DynFracScheduler>();
+    pair_agrees::<Credit2, DynFrac>();
 }

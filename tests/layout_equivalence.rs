@@ -1,6 +1,6 @@
 //! Layout-equivalence goldens for the struct-of-arrays scheduler state.
 //!
-//! The three `HypervisorSched` backends keep their per-vCPU hot state in
+//! The three scheduler policies keep their per-vCPU hot state in
 //! dense parallel arrays (`sim_core::soa::VcpuMap`), split from cold
 //! stats. That is meant to be a pure *layout* change: every observable —
 //! the emitted `SchedEvent` stream, per-vCPU states, freeze bits, run/wait
@@ -32,34 +32,15 @@
 //! `VSCALE_BLESS=1 cargo test -q layout -- --nocapture` and copy the
 //! printed tables.
 
-use sim_core::ids::{DomId, GlobalVcpu, PcpuId, VcpuId};
-use sim_core::time::{SimDuration, SimTime};
-use testkit::differential::{adversarial_scenario_gen, scenario_gen, Op, Scenario};
+use sim_core::ids::{DomId, GlobalVcpu, PcpuId};
+use sim_core::time::SimTime;
+use testkit::differential::{
+    adversarial_scenario_gen, apply, scenario_gen, vcpu_table, Op, Scenario, OP_STEP,
+};
 use testkit::source::Source;
+use testkit::Fnv;
 use xen_sched::credit::{CreditConfig, SchedEvent, VcpuState};
-use xen_sched::credit2::Credit2Scheduler;
-use xen_sched::dynfrac::DynFracScheduler;
-use xen_sched::{CreditScheduler, HypervisorSched};
-
-/// Must match `testkit::differential::OP_STEP`.
-const OP_STEP: SimDuration = SimDuration::from_us(500);
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-    fn u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-}
+use xen_sched::{Credit, Credit2, DynFrac, Policy, Pool};
 
 fn fold_gv(h: &mut Fnv, gv: GlobalVcpu) {
     h.u64(gv.dom.index() as u64);
@@ -100,7 +81,7 @@ fn count_assignments(assignments: &mut [u64], events: &[SchedEvent]) {
     }
 }
 
-fn fold_state<S: HypervisorSched>(h: &mut Fnv, s: &S, vcpus: &[GlobalVcpu], assignments: &[u64]) {
+fn fold_state<P: Policy>(h: &mut Fnv, s: &Pool<P>, vcpus: &[GlobalVcpu], assignments: &[u64]) {
     for &gv in vcpus {
         match s.vcpu_state(gv) {
             VcpuState::Running { pcpu, since } => {
@@ -135,7 +116,7 @@ fn fold_state<S: HypervisorSched>(h: &mut Fnv, s: &S, vcpus: &[GlobalVcpu], assi
 }
 
 /// Folds every domain's kick-throttle count and Algorithm 1 snapshot.
-fn fold_domains<S: HypervisorSched>(h: &mut Fnv, s: &S, n_domains: usize) {
+fn fold_domains<P: Policy>(h: &mut Fnv, s: &Pool<P>, n_domains: usize) {
     for d in (0..n_domains).map(DomId) {
         h.u64(s.kicks_throttled(d));
         let info = s.extendability(d);
@@ -149,104 +130,35 @@ fn fold_domains<S: HypervisorSched>(h: &mut Fnv, s: &S, n_domains: usize) {
     }
 }
 
-/// The scenario's vCPUs in `(domain, vcpu)` order.
-fn vcpu_list(scenario: &Scenario) -> Vec<GlobalVcpu> {
-    let mut vcpus = Vec::new();
-    for (d, &(_, nv)) in scenario.domains.iter().enumerate() {
-        for v in 0..nv {
-            vcpus.push(GlobalVcpu::new(DomId(d), VcpuId(v)));
-        }
-    }
-    vcpus
-}
-
 /// A pool of `scenario`'s topology under `cfg`, with every even-indexed
 /// domain capped at `cap` pCPUs.
-fn build<S: HypervisorSched>(cfg: &CreditConfig, cap: Option<f64>, scenario: &Scenario) -> S {
-    let mut s = S::new_pool(cfg.clone(), scenario.n_pcpus);
+fn build<P: Policy>(cfg: &CreditConfig, cap: Option<f64>, scenario: &Scenario) -> Pool<P> {
+    let mut s = Pool::new(cfg.clone(), scenario.n_pcpus);
     for (d, &(weight, nv)) in scenario.domains.iter().enumerate() {
         s.create_domain(weight, nv, cap.filter(|_| d % 2 == 0), None);
     }
     s
 }
 
-/// Replays `scenario` with the same op normalization as
-/// `testkit::differential::replay`, folding the full observable
-/// trajectory into `h`; `per_op` folds extra state after every op.
-/// Returns the pool and the instant of the last op.
-fn replay_folded<S: HypervisorSched>(
+/// Replays `scenario` through `testkit::differential::apply`, folding
+/// the full observable trajectory into `h`; `per_op` folds extra state
+/// after every op. Returns the pool and the instant of the last op.
+fn replay_folded<P: Policy>(
     cfg: &CreditConfig,
     cap: Option<f64>,
     scenario: &Scenario,
     h: &mut Fnv,
-    mut per_op: impl FnMut(&mut Fnv, &S, Op),
-) -> (S, SimTime) {
-    let vcpus = vcpu_list(scenario);
-    let mut s = build::<S>(cfg, cap, scenario);
+    mut per_op: impl FnMut(&mut Fnv, &Pool<P>, Op),
+) -> (Pool<P>, SimTime) {
+    let vcpus = vcpu_table(&scenario.domains);
+    let mut s = build::<P>(cfg, cap, scenario);
     let mut now = SimTime::ZERO;
     let mut events = Vec::new();
     let mut assignments = vec![0; scenario.n_pcpus];
     for (i, &op) in scenario.ops.iter().enumerate() {
         now += OP_STEP;
         events.clear();
-        let gv = |sel: u8| vcpus[sel as usize % vcpus.len()];
-        let pc = |sel: u8| PcpuId(sel as usize % scenario.n_pcpus);
-        match op {
-            Op::Tick(p) => s.on_tick(pc(p), now, &mut events),
-            Op::Acct => s.on_acct(now, &mut events),
-            Op::Slice(p) => s.slice_expired(pc(p), now, &mut events),
-            Op::ExtendTick => s.on_extend_tick(now),
-            Op::Wake(v) => {
-                if !s.is_frozen(gv(v)) {
-                    s.vcpu_wake(gv(v), now, &mut events);
-                }
-            }
-            Op::Block(v) => s.vcpu_block(gv(v), now, &mut events),
-            Op::Yield(v) => s.vcpu_yield(gv(v), now, &mut events),
-            Op::Kick(v) => {
-                if !s.is_frozen(gv(v)) {
-                    s.kick_vcpu(gv(v), now, &mut events);
-                }
-            }
-            Op::Freeze(v) => {
-                s.set_frozen(gv(v), true);
-                s.vcpu_block(gv(v), now, &mut events);
-            }
-            Op::Unfreeze(v) => {
-                s.set_frozen(gv(v), false);
-                s.vcpu_wake(gv(v), now, &mut events);
-            }
-            Op::SelfWake(v) => {
-                if !s.is_frozen(gv(v)) {
-                    s.vcpu_block(gv(v), now, &mut events);
-                    s.vcpu_wake(gv(v), now, &mut events);
-                }
-            }
-            Op::TickDodge(v) => {
-                if !s.is_frozen(gv(v)) {
-                    let dodged = s.where_running(gv(v));
-                    s.vcpu_block(gv(v), now, &mut events);
-                    if let Some(p) = dodged {
-                        s.on_tick(p, now, &mut events);
-                    }
-                    s.vcpu_wake(gv(v), now, &mut events);
-                }
-            }
-            Op::StormKick(v) => {
-                let dom = gv(v).dom;
-                for &target in vcpus.iter().filter(|t| t.dom == dom) {
-                    if !s.is_frozen(target) {
-                        s.kick_vcpu(target, now, &mut events);
-                    }
-                }
-            }
-            Op::FreezeThrash(v) => {
-                s.set_frozen(gv(v), true);
-                s.vcpu_block(gv(v), now, &mut events);
-                s.set_frozen(gv(v), false);
-                s.vcpu_wake(gv(v), now, &mut events);
-            }
-        }
+        apply(&mut s, &vcpus, op, now, &mut events);
         h.u64(i as u64);
         for e in &events {
             fold_event(h, e);
@@ -267,32 +179,32 @@ fn replay_folded<S: HypervisorSched>(
 
 /// Checksum of the default-config trajectory of `scenario` (the
 /// [`GOLDEN`] fold).
-fn trajectory_checksum<S: HypervisorSched>(scenario: &Scenario) -> u64 {
-    let mut h = Fnv::new();
-    replay_folded::<S>(
+fn trajectory_checksum<P: Policy>(scenario: &Scenario) -> u64 {
+    let mut h = Fnv::default();
+    replay_folded::<P>(
         &CreditConfig::default(),
         None,
         scenario,
         &mut h,
         |_, _, _| {},
     );
-    h.0
+    h.finish()
 }
 
 /// Checksum of the kick-throttled attack trajectory of `scenario` plus
 /// its export/import round trip (the [`GOLDEN_ATTACK`] fold).
-fn migrated_checksum<S: HypervisorSched>(scenario: &Scenario) -> u64 {
+fn migrated_checksum<P: Policy>(scenario: &Scenario) -> u64 {
     let cfg = CreditConfig {
         kick_throttle: true,
         ..CreditConfig::default()
     };
     let n_domains = scenario.domains.len();
-    let mut h = Fnv::new();
-    let (s, mut now) = replay_folded::<S>(&cfg, None, scenario, &mut h, |h, s, _| {
+    let mut h = Fnv::default();
+    let (s, mut now) = replay_folded::<P>(&cfg, None, scenario, &mut h, |h, s, _| {
         fold_domains(h, s, n_domains)
     });
-    let vcpus = vcpu_list(scenario);
-    let mut twin = build::<S>(&cfg, None, scenario);
+    let vcpus = vcpu_table(&scenario.domains);
+    let mut twin = build::<P>(&cfg, None, scenario);
     let mut events = Vec::new();
     let mut assignments = vec![0; scenario.n_pcpus];
     for d in (0..n_domains).map(DomId) {
@@ -320,7 +232,7 @@ fn migrated_checksum<S: HypervisorSched>(scenario: &Scenario) -> u64 {
     count_assignments(&mut assignments, &events);
     fold_state(&mut h, &twin, &vcpus, &assignments);
     fold_domains(&mut h, &twin, n_domains);
-    h.0
+    h.finish()
 }
 
 /// Seeds → pre-captured `(credit, credit2, dynfrac)` trajectory
@@ -342,9 +254,9 @@ fn soa_layout_preserves_scheduler_trajectories() {
     let bless = std::env::var("VSCALE_BLESS").is_ok();
     for &(seed, credit, credit2, dynfrac) in &GOLDEN {
         let scenario = gen.run(&mut Source::random(seed));
-        let c = trajectory_checksum::<CreditScheduler>(&scenario);
-        let c2 = trajectory_checksum::<Credit2Scheduler>(&scenario);
-        let df = trajectory_checksum::<DynFracScheduler>(&scenario);
+        let c = trajectory_checksum::<Credit>(&scenario);
+        let c2 = trajectory_checksum::<Credit2>(&scenario);
+        let df = trajectory_checksum::<DynFrac>(&scenario);
         if bless {
             println!("    ({seed}, {c:#018x}, {c2:#018x}, {df:#018x}),");
             continue;
@@ -381,9 +293,9 @@ fn attack_streams_and_migration_round_trips_are_pinned() {
     let bless = std::env::var("VSCALE_BLESS").is_ok();
     for &(seed, credit, credit2, dynfrac) in &GOLDEN_ATTACK {
         let scenario = gen.run(&mut Source::random(seed));
-        let c = migrated_checksum::<CreditScheduler>(&scenario);
-        let c2 = migrated_checksum::<Credit2Scheduler>(&scenario);
-        let df = migrated_checksum::<DynFracScheduler>(&scenario);
+        let c = migrated_checksum::<Credit>(&scenario);
+        let c2 = migrated_checksum::<Credit2>(&scenario);
+        let df = migrated_checksum::<DynFrac>(&scenario);
         if bless {
             println!("    ({seed}, {c:#018x}, {c2:#018x}, {df:#018x}),");
             continue;
@@ -420,10 +332,10 @@ fn credit_checksum(
     cap: Option<f64>,
     reach: &mut CapReach,
 ) -> u64 {
-    let vcpus = vcpu_list(scenario);
+    let vcpus = vcpu_table(&scenario.domains);
     let mut parked = vec![false; vcpus.len()];
-    let mut h = Fnv::new();
-    replay_folded::<CreditScheduler>(cfg, cap, scenario, &mut h, |h, s, op| {
+    let mut h = Fnv::default();
+    replay_folded::<Credit>(cfg, cap, scenario, &mut h, |h, s, op| {
         let kicked = |gv: GlobalVcpu| match op {
             Op::Kick(v) => vcpus[v as usize % vcpus.len()] == gv,
             Op::StormKick(v) => vcpus[v as usize % vcpus.len()].dom == gv.dom,
@@ -442,7 +354,7 @@ fn credit_checksum(
             h.u64(s.credits_ns(gv) as u64);
         }
     });
-    h.0
+    h.finish()
 }
 
 /// Op-stream length of the [`GOLDEN_CREDIT`] streams.

@@ -8,20 +8,19 @@
 //! interval, so the cluster can fence the replayed work exactly (it
 //! knows precisely what the replay will re-produce).
 
+use testkit::fnv1a;
 use vscale_repro::apps::apache::{self, ApacheConfig};
 use vscale_repro::apps::desktop::{self, SlideshowConfig};
 use vscale_repro::core::config::{MachineConfig, SystemConfig};
 use vscale_repro::core::Machine;
-use vscale_repro::hv::{
-    Credit2Scheduler, CreditScheduler, DomId, DynFracScheduler, HypervisorSched,
-};
+use vscale_repro::hv::{Credit, Credit2, DomId, DynFrac, Policy};
 use vscale_repro::sim::fault::FaultConfig;
 use vscale_repro::sim::time::{SimDuration, SimTime};
 
 /// Builds a loaded machine: one vScale Apache-serving VM plus a desktop
 /// neighbour, with a request batch injected every 5 ms.
-fn build<S: HypervisorSched>(seed: u64) -> Machine<S> {
-    let mut m = Machine::<S>::with_backend(MachineConfig {
+fn build<P: Policy>(seed: u64) -> Machine<P> {
+    let mut m = Machine::<P>::with_backend(MachineConfig {
         n_pcpus: 2,
         seed,
         ..MachineConfig::default()
@@ -40,16 +39,16 @@ fn build<S: HypervisorSched>(seed: u64) -> Machine<S> {
 /// Checkpoint mid-run, restore into a twin, run both to the horizon:
 /// the final checkpoints (full machine state down to RNG words and
 /// event-queue contents) must be byte-equal.
-fn restore_then_run_is_byte_identical<S: HypervisorSched>(backend: &str) {
+fn restore_then_run_is_byte_identical<P: Policy>(backend: &str) {
     let horizon = SimTime::from_ms(700);
-    let mut a = build::<S>(23);
+    let mut a = build::<P>(23);
     a.run_until(SimTime::from_ms(260));
     let mid = a.checkpoint();
     let t_mid = a.now();
     a.run_until(horizon);
     let final_a = a.checkpoint();
 
-    let mut b = build::<S>(23);
+    let mut b = build::<P>(23);
     b.restore(&mid);
     assert_eq!(
         b.now(),
@@ -66,24 +65,17 @@ fn restore_then_run_is_byte_identical<S: HypervisorSched>(backend: &str) {
 
 #[test]
 fn credit_restore_then_run_is_byte_identical() {
-    restore_then_run_is_byte_identical::<CreditScheduler>("credit");
+    restore_then_run_is_byte_identical::<Credit>("credit");
 }
 
 #[test]
 fn credit2_restore_then_run_is_byte_identical() {
-    restore_then_run_is_byte_identical::<Credit2Scheduler>("credit2");
+    restore_then_run_is_byte_identical::<Credit2>("credit2");
 }
 
 #[test]
 fn dynfrac_restore_then_run_is_byte_identical() {
-    restore_then_run_is_byte_identical::<DynFracScheduler>("dynfrac");
-}
-
-/// FNV-1a over an image: a stable 64-bit fingerprint to pin goldens.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+    restore_then_run_is_byte_identical::<DynFrac>("dynfrac");
 }
 
 /// A fault plan that keeps notifications and IPIs misbehaving and the
@@ -106,9 +98,9 @@ fn faults() -> FaultConfig {
 /// Hashes of `checkpoint()`, `vm_image_bytes(dom0)` and `extract_vm(dom0)`
 /// at 260 ms, after checking that restoring the checkpoint into a twin and
 /// re-checkpointing at once returns the same bytes.
-fn golden_hashes<S: HypervisorSched>(faulted: bool) -> [u64; 3] {
+fn golden_hashes<P: Policy>(faulted: bool) -> [u64; 3] {
     let build_one = || {
-        let mut m = build::<S>(23);
+        let mut m = build::<P>(23);
         if faulted {
             m.set_fault_plan(faults());
         }
@@ -122,7 +114,7 @@ fn golden_hashes<S: HypervisorSched>(faulted: bool) -> [u64; 3] {
     assert!(
         twin.checkpoint() == image,
         "[{}] restore-then-checkpoint changed the image",
-        S::backend_name()
+        P::NAME
     );
     let vm = a.vm_image_bytes(DomId(0));
     let extracted = a.extract_vm(DomId(0));
@@ -135,12 +127,12 @@ fn golden_hashes<S: HypervisorSched>(faulted: bool) -> [u64; 3] {
 #[test]
 fn image_bytes_match_pinned_goldens() {
     let got = [
-        golden_hashes::<CreditScheduler>(false),
-        golden_hashes::<CreditScheduler>(true),
-        golden_hashes::<Credit2Scheduler>(false),
-        golden_hashes::<Credit2Scheduler>(true),
-        golden_hashes::<DynFracScheduler>(false),
-        golden_hashes::<DynFracScheduler>(true),
+        golden_hashes::<Credit>(false),
+        golden_hashes::<Credit>(true),
+        golden_hashes::<Credit2>(false),
+        golden_hashes::<Credit2>(true),
+        golden_hashes::<DynFrac>(false),
+        golden_hashes::<DynFrac>(true),
     ];
     let rows = [
         "credit",
